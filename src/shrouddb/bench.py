@@ -345,21 +345,18 @@ def run_experiment(spec: ExperimentSpec, clock=None, dataset: str | None = None,
 def _run_scan(spec: ExperimentSpec, db: Database, qs: list[Query], clock,
               data_dir) -> ExperimentResult:
     """Baseline: every query downloads all records and filters locally."""
-    rng = derive_stream(spec.seed, "scan")
-    key = keygen(128, rng)
+    key = keygen(128, derive_stream(spec.seed, "scan"))
     store = CountingKvs(KvsView(connect(spec.storage, data_dir), 0))
     counters = store.counters
     body = 16 + spec.record_size  # rid, key, payload
     try:
         plain = b"".join(r.rid.to_bytes(8, "big") + r.key.to_bytes(8, "big") + r.payload
                          for r in db.records)
-        ivs = rng.randbytes(16 * len(db))
-        sealed = slots.seal_slots(key.data, plain, ivs, len(db), body)
-        slot = body + 32
-        store.batch_put([(bucket_key(i), sealed[i * slot:(i + 1) * slot])
-                         for i in range(len(db))])
-        server_bytes = len(sealed)
+        sealed = slots.seal_slots(key.data, plain, slots.fresh_nonces(len(db)),
+                                  len(db), body)
         all_keys = [bucket_key(i) for i in range(len(db))]
+        store.batch_put(list(zip(all_keys, sealed)))
+        server_bytes = sum(map(len, sealed))
         counters.reset()
 
         rows: list[dict] = []
@@ -368,7 +365,7 @@ def _run_scan(spec: ExperimentSpec, db: Database, qs: list[Query], clock,
             t0 = clock()
             before = counters.snapshot()
             blobs = store.batch_get(all_keys)
-            opened = slots.open_slots(key.data, b"".join(blobs), len(db), body)
+            opened = slots.open_slots(key.data, blobs, len(db), body)
             hits: list[Record] = []
             for j in range(len(db)):
                 off = j * body

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from shrouddb.crypto import SymKey, partition_of
 from shrouddb.data import Database, Query
 from shrouddb.errors import DataError, ParameterError, QueryError
 
@@ -146,15 +146,15 @@ def build_tree(entries: list[tuple[int, tuple[int, int]]], fanout: int = 200) ->
     return BPlusTree(fanout, level[0], leaves, height)
 
 
-def create_index(db: Database, m: int, hash_key: SymKey, attribute: str = "key",
-                 fanout: int = 200) -> BPlusTree:
-    """Index one column: key -> (rid, oram id), the id being the record's
-    pseudorandom partition among ``m`` stores."""
-    if m < 1:
-        raise ParameterError("partition count must be >= 1")
+def create_index(db: Database, addr_of: Mapping[int, tuple[int, int]],
+                 attribute: str = "key", fanout: int = 200) -> BPlusTree:
+    """Index one column: key -> (rid, oram id).
+
+    ``addr_of`` maps every rid to its ``(oram id, address)``, the
+    placement ``engine.setup`` drew from the partition PRF.
+    """
     column = db.column(attribute)
-    entries = [(k, (r.rid, partition_of(hash_key, r.rid, m)))
-               for k, r in zip(column, db.records)]
+    entries = [(k, (r.rid, addr_of[r.rid][0])) for k, r in zip(column, db.records)]
     return build_tree(entries, fanout)
 
 

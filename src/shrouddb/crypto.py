@@ -1,12 +1,9 @@
-"""Symmetric primitives: randomized authenticated encryption and a PRF.
+"""Symmetric keys and a PRF.
 
-Encryption is AES-GCM with a fresh random 16-byte IV per message, so
-two encryptions of the same plaintext differ and tampering or a wrong
-key is detected at decryption. The PRF is CMAC-AES; it drives the
-record-to-ORAM partition hash and stays deterministic under a fixed
-key.
-
-Serialized ciphertext layout: ``iv (16) || body || tag (16)``.
+``SymKey`` holds an AES key, used by ``shrouddb.slots`` for AES-GCM
+sealing (``nonce (12) || ciphertext || tag (16)``, one message per ORAM
+bucket). The PRF is CMAC-AES; it drives the record-to-ORAM partition
+hash and stays deterministic under a fixed key.
 """
 
 from __future__ import annotations
@@ -14,33 +11,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.ciphers import algorithms
 
-from shrouddb.errors import (
-    AuthenticationError,
-    FormatError,
-    ParameterError,
-    SizeError,
-)
+from shrouddb.errors import ParameterError
 
 __all__ = [
-    "IV_SIZE",
-    "TAG_SIZE",
     "KEY_BITS",
     "SymKey",
-    "Ciphertext",
     "keygen",
-    "encrypt_block",
-    "decrypt_block",
     "prf",
     "partition_of",
 ]
 
-IV_SIZE = 16
-TAG_SIZE = 16
 KEY_BITS = (128, 256)
 
 
@@ -58,51 +41,11 @@ class SymKey:
             raise ParameterError(f"key material is {len(self.data)} bytes, expected {self.bits // 8}")
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    """Randomized ciphertext: fresh ``iv``, encrypted ``body``, GCM ``tag``."""
-
-    iv: bytes
-    body: bytes
-    tag: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.iv + self.body + self.tag
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Ciphertext":
-        if len(raw) < IV_SIZE + TAG_SIZE:
-            raise FormatError(f"ciphertext too short ({len(raw)} bytes)")
-        return cls(raw[:IV_SIZE], raw[IV_SIZE:-TAG_SIZE], raw[-TAG_SIZE:])
-
-
 def keygen(bits: int, rng: random.Random) -> SymKey:
     """Draw a uniformly random key of ``bits`` ∈ {128, 256} from ``rng``."""
     if bits not in KEY_BITS:
         raise ParameterError(f"unsupported key size {bits}, expected one of {KEY_BITS}")
     return SymKey(rng.randbytes(bits // 8), bits)
-
-
-def encrypt_block(key: SymKey, plaintext: bytes, rng: random.Random,
-                  block_size: int | None = None) -> Ciphertext:
-    """Encrypt ``plaintext`` under a fresh IV drawn from ``rng``.
-
-    ``block_size`` caps the plaintext length when the caller manages
-    fixed-size blocks; ``None`` leaves it unbounded.
-    """
-    if block_size is not None and len(plaintext) > block_size:
-        raise SizeError(f"plaintext is {len(plaintext)} bytes, block payload is {block_size}")
-    iv = rng.randbytes(IV_SIZE)
-    sealed = AESGCM(key.data).encrypt(iv, plaintext, None)
-    return Ciphertext(iv, sealed[:-TAG_SIZE], sealed[-TAG_SIZE:])
-
-
-def decrypt_block(key: SymKey, c: Ciphertext) -> bytes:
-    """Recover the plaintext; wrong key or corruption raises."""
-    try:
-        return AESGCM(key.data).decrypt(c.iv, c.body + c.tag, None)
-    except InvalidTag as exc:
-        raise AuthenticationError("ciphertext failed authentication") from exc
 
 
 def prf(key: SymKey, data: bytes) -> bytes:

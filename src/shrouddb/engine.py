@@ -193,9 +193,10 @@ def _parse_block(blob: bytes) -> tuple[int, int, bytes]:
 def _open_stores(config: EngineConfig, storage, data_dir):
     """One Kvs per ORAM plus one for metadata.
 
-    A shared in-process store is fanned out through namespace views; a
-    remote backend gets one connection per ORAM so batches can fly in
-    parallel without interleaving frames.
+    A caller-supplied store or a shared in-process one is fanned out
+    through namespace views (every backend serialises its own calls); a
+    ``remote=`` spec gets one connection per ORAM so batches can fly in
+    parallel.
     """
     owned: list[Kvs] = []
     if isinstance(storage, Kvs):
@@ -282,7 +283,7 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
             raise DataError(f"column {attribute!r} value {v} outside "
                             f"[0, {config.domain})")
     state.indexes[attribute] = bptree.create_index(
-        state.db, config.m, state.hash_key, attribute, config.index_fanout)
+        state.db, state.addr_of, attribute, config.index_fanout)
 
     N, k = state.padded_domain, config.fanout
     if config.mode == "no-gamma":

@@ -25,14 +25,6 @@ class CryptoError(ShroudError):
     """Base class for encryption/decryption failures."""
 
 
-class SizeError(CryptoError, ValueError):
-    """Plaintext exceeds the configured block payload size."""
-
-
-class FormatError(CryptoError, ValueError):
-    """Ciphertext bytes are too short or otherwise unparseable."""
-
-
 class AuthenticationError(CryptoError):
     """Ciphertext failed tag verification (wrong key or corruption)."""
 
@@ -71,11 +63,3 @@ class AddressError(ShroudError, ValueError):
 
 class StashOverflowError(ShroudError):
     """Client stash exceeded its configured limit; the run must abort."""
-
-
-class CapacityError(ShroudError):
-    """A partition holds more records than its ORAM can store."""
-
-
-class RunError(ShroudError):
-    """Benchmark experiment could not be set up or executed."""

@@ -1,7 +1,9 @@
 """Tree-based ORAM over a key-value bucket store.
 
-The server holds a complete binary tree of buckets, each bucket a fixed
-number of encrypted slots. Every stored block is pinned to a uniformly
+The server holds a complete binary tree of buckets. A bucket is ``Z``
+block slots of ``addr (8) || payload``, dummies included, sealed
+together as one AES-GCM message (``shrouddb.slots``), so every bucket
+value has the same length. Every stored block is pinned to a uniformly
 random leaf; the block lives somewhere on the path from the root to
 that leaf, or in the client-side stash. Each access reads one whole
 path, remaps the touched address to a fresh leaf, and greedily rewrites
@@ -32,7 +34,7 @@ from shrouddb.errors import (
     StorageError,
     StorageNotEmptyError,
 )
-from shrouddb.slots import open_slots, seal_slots
+from shrouddb.slots import fresh_nonces, open_slots, seal_slots, sealed_size
 from shrouddb.storage import Kvs, bucket_key
 
 __all__ = [
@@ -49,8 +51,6 @@ __all__ = [
 
 DUMMY_ADDR = (1 << 64) - 1
 ADDR_SIZE = 8
-IV_SIZE = 16
-TAG_SIZE = 16
 
 READ = "read"
 WRITE = "write"
@@ -142,8 +142,8 @@ class OramState:
         self.leaves = 1 << self.L
         self.n_buckets = 2 * self.leaves - 1
         self.body_size = ADDR_SIZE + config.block_payload
-        self.slot_size = IV_SIZE + self.body_size + TAG_SIZE
-        self.bucket_bytes = config.Z * self.slot_size
+        self.bucket_plain = config.Z * self.body_size
+        self.bucket_bytes = sealed_size(self.bucket_plain)
         self.stash_limit = (config.stash_limit if config.stash_limit is not None
                             else default_stash_limit(config.eta1))
         self.pos = [rng.randrange(self.leaves) for _ in range(config.capacity)]
@@ -204,7 +204,7 @@ class OramState:
             if len(blob) != self.bucket_bytes:
                 raise StorageError(f"bucket value has {len(blob)} bytes, expected {self.bucket_bytes}")
         total = len(bucket_ids) * self.config.Z
-        bodies = open_slots(self.key.data, b"".join(blobs), total, self.body_size)
+        bodies = open_slots(self.key.data, blobs, len(bucket_ids), self.bucket_plain)
 
         # pull every real block on the fetched paths into the stash
         view = np.frombuffer(bodies, dtype=np.uint8).reshape(total, self.body_size)
@@ -232,12 +232,10 @@ class OramState:
                 parts.append(addr.to_bytes(ADDR_SIZE, "big"))
                 parts.append(data)
             parts.extend([self._dummy_body] * (self.config.Z - len(blocks)))
-        plain = b"".join(parts)
-        ivs = self.rng.randbytes(IV_SIZE * total)
-        sealed = seal_slots(self.key.data, plain, ivs, total, self.body_size)
-        bb = self.bucket_bytes
-        pairs = [(self._bucket_keys[b], sealed[i * bb:(i + 1) * bb])
-                 for i, b in enumerate(bucket_ids)]
+        n = len(bucket_ids)
+        sealed = seal_slots(self.key.data, b"".join(parts), fresh_nonces(n), n,
+                            self.bucket_plain)
+        pairs = list(zip([self._bucket_keys[b] for b in bucket_ids], sealed))
         try:
             self.store.batch_put(pairs)
         except StorageError as exc:
@@ -306,7 +304,7 @@ class OramState:
         """
         blobs = self.store.batch_get(self._bucket_keys)
         total = self.n_buckets * self.config.Z
-        bodies = open_slots(self.key.data, b"".join(blobs), total, self.body_size)
+        bodies = open_slots(self.key.data, blobs, self.n_buckets, self.bucket_plain)
         found: dict[int, int] = {}
         for i in range(total):
             addr = int.from_bytes(bodies[i * self.body_size:i * self.body_size + ADDR_SIZE], "big")
@@ -321,8 +319,8 @@ def oram_init(config: OramConfig, key: SymKey, store: Kvs,
               rng: random.Random, trace: bool = False) -> OramState:
     """Populate empty storage with encrypted dummies and build the client.
 
-    Writes all ``2^(L+1) - 1`` buckets, ``Z`` fresh dummy ciphertexts
-    each, in one batch; draws a uniform position map.
+    Writes all ``2^(L+1) - 1`` buckets, each ``Z`` dummy slots sealed
+    under a fresh nonce, in one batch; draws a uniform position map.
     """
     state = OramState(config, key, store, rng, trace=trace)
     try:
@@ -331,11 +329,8 @@ def oram_init(config: OramConfig, key: SymKey, store: Kvs,
         pass
     else:
         raise StorageNotEmptyError("storage already holds a bucket tree; clear it first")
-    total = state.n_buckets * config.Z
-    plain = state._dummy_body * total
-    ivs = rng.randbytes(IV_SIZE * total)
-    sealed = seal_slots(key.data, plain, ivs, total, state.body_size)
-    bb = state.bucket_bytes
-    store.batch_put([(state._bucket_keys[b], sealed[b * bb:(b + 1) * bb])
-                     for b in range(state.n_buckets)])
+    n = state.n_buckets
+    sealed = seal_slots(key.data, state._dummy_body * (n * config.Z), fresh_nonces(n), n,
+                        state.bucket_plain)
+    store.batch_put(list(zip(state._bucket_keys, sealed)))
     return state

@@ -125,7 +125,9 @@ class DiskKvs(Kvs):
 
     One file per store; records are ``key(8) || u32 length || value``.
     Reopening rebuilds the index by a single forward scan; later
-    records for a key shadow earlier ones. No compaction.
+    records for a key shadow earlier ones. A torn record at the tail
+    (a crash mid-append) is cut off on reopen, so the next append
+    starts on a record boundary. No compaction.
     """
 
     def __init__(self, path: str | Path):
@@ -137,17 +139,22 @@ class DiskKvs(Kvs):
         self._scan()
 
     def _scan(self):
+        size = self._file.seek(0, 2)
         self._file.seek(0)
         off = 0
         while True:
             header = self._file.read(KEY_SIZE + 4)
             if len(header) < KEY_SIZE + 4:
                 break
-            key = header[:KEY_SIZE]
             (vlen,) = struct.unpack(">I", header[KEY_SIZE:])
-            self._index[key] = (off + KEY_SIZE + 4, vlen)
-            self._file.seek(vlen, 1)
-            off += KEY_SIZE + 4 + vlen
+            end = off + KEY_SIZE + 4 + vlen
+            if end > size:
+                break
+            self._index[header[:KEY_SIZE]] = (off + KEY_SIZE + 4, vlen)
+            self._file.seek(end)
+            off = end
+        if off < size:
+            self._file.truncate(off)
         self._file.seek(0, 2)
 
     def _ensure_open(self):
@@ -226,8 +233,11 @@ class DiskKvs(Kvs):
 class RemoteKvs(Kvs):
     """Client for the TCP server in ``shrouddb.server``.
 
-    One connection per handle; the engine opens one handle per ORAM
-    worker, so connections never interleave requests.
+    One connection per handle. A lock serialises request/response
+    pairs, so one handle may be shared by several threads (as when a
+    caller passes it to ``engine.setup`` with m > 1); the engine's own
+    ``remote=HOST:PORT`` spec opens one handle per ORAM instead, so
+    their batches travel in parallel.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
@@ -236,14 +246,16 @@ class RemoteKvs(Kvs):
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             raise StorageError(f"cannot connect to {host}:{port}: {exc}") from exc
+        self._lock = threading.Lock()
         self._closed = False
 
     def _call(self, opcode: int, payload: bytes) -> tuple[int, bytes]:
         if self._closed:
             raise StorageClosedError("handle is closed")
         try:
-            wire.send_request(self._sock, opcode, payload)
-            return wire.read_response(self._sock, opcode)
+            with self._lock:
+                wire.send_request(self._sock, opcode, payload)
+                return wire.read_response(self._sock, opcode)
         except (ConnectionError, OSError, ValueError) as exc:
             raise StorageError(f"transport failure: {exc}") from exc
 
@@ -306,11 +318,6 @@ class TrafficCounters:
 
     def reset(self) -> None:
         self.roundtrips = self.bytes_up = self.bytes_down = 0
-
-    def add(self, other: "TrafficCounters") -> None:
-        self.roundtrips += other.roundtrips
-        self.bytes_up += other.bytes_up
-        self.bytes_down += other.bytes_down
 
 
 class CountingKvs(Kvs):

@@ -199,7 +199,7 @@ def test_scan_metrics_shape():
     res = run_experiment(spec(n=n, queries=5, mode="linear-scan"),
                          clock=FixedClock())
     rows = list(csv.DictReader(res.to_csv().splitlines()))
-    slot = 16 + 32 + 32  # rid+key header, payload, cipher overhead
+    slot = 16 + 32 + 28  # rid+key header, payload, nonce and tag
     for r in rows[:-1]:
         assert int(r["fetched_count"]) == n
         assert int(r["oram_accesses"]) == 0

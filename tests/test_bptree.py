@@ -73,10 +73,15 @@ def test_empty_range_rejected():
         tree.lookup_range(5, 4)
 
 
+def prf_placement(db, m, rng):
+    hk = keygen(128, rng)
+    return hk, {r.rid: (partition_of(hk, r.rid, m), i) for i, r in enumerate(db.records)}
+
+
 def test_create_index_partitions_by_prf(rng):
     db = Database([Record(i, i % 53, bytes(2)) for i in range(400)])
-    hk = keygen(128, rng)
-    idx = create_index(db, 4, hk)
+    hk, addr_of = prf_placement(db, 4, rng)
+    idx = create_index(db, addr_of)
     locs = lookup(idx, range_query(10, 20))
     assert sorted(r for r, _ in locs) == \
         sorted(r.rid for r in db.records if 10 <= r.key <= 20)
@@ -90,7 +95,7 @@ def test_create_index_partitions_by_prf(rng):
 def test_create_index_on_extra_column(rng):
     col = [i * 3 % 31 for i in range(100)]
     db = Database([Record(i, 0, b"") for i in range(100)], {"aux": col})
-    idx = create_index(db, 2, keygen(128, rng), attribute="aux")
+    idx = create_index(db, prf_placement(db, 2, rng)[1], attribute="aux")
     locs = lookup(idx, point_query(6, attribute="aux"))
     assert sorted(r for r, _ in locs) == [i for i in range(100) if col[i] == 6]
 
@@ -102,7 +107,7 @@ def test_duplicate_rids_rejected():
 
 def test_page_roundtrip(tmp_path, rng):
     db = Database([Record(i, rng.randrange(97), bytes(2)) for i in range(3000)])
-    idx = create_index(db, 4, keygen(128, rng), fanout=32)
+    idx = create_index(db, prf_placement(db, 4, rng)[1], fanout=32)
     path = tmp_path / "index.pages"
     save_index(idx, path)
     size = path.stat().st_size

@@ -3,23 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from shrouddb.crypto import (
-    Ciphertext,
-    IV_SIZE,
-    SymKey,
-    TAG_SIZE,
-    decrypt_block,
-    encrypt_block,
-    keygen,
-    partition_of,
-    prf,
-)
-from shrouddb.errors import (
-    AuthenticationError,
-    FormatError,
-    ParameterError,
-    SizeError,
-)
+from shrouddb.crypto import SymKey, keygen, partition_of, prf
+from shrouddb.errors import AuthenticationError, ParameterError
+from shrouddb.slots import fresh_nonces, open_slots, seal_slots, sealed_size
 
 
 def test_keygen_sizes(rng):
@@ -48,65 +34,67 @@ def test_symkey_validates_length():
         SymKey(b"short", 128)
 
 
+def _seal(key: SymKey, msg: bytes) -> bytes:
+    return seal_slots(key.data, msg, fresh_nonces(1), 1, len(msg))[0]
+
+
+def _open(key: SymKey, sealed: bytes, size: int) -> bytes:
+    return open_slots(key.data, [sealed], 1, size)
+
+
 def test_encrypt_decrypt_roundtrip(rng):
     key = keygen(128, rng)
     for size in (0, 1, 24, 1024):
         msg = rng.randbytes(size)
-        ct = encrypt_block(key, msg, rng)
-        assert decrypt_block(key, ct) == msg
+        assert _open(key, _seal(key, msg), size) == msg
 
 
 def test_ciphertext_layout(rng):
     key = keygen(256, rng)
     msg = b"hello world"
-    ct = encrypt_block(key, msg, rng)
-    assert len(ct.iv) == IV_SIZE
-    assert len(ct.tag) == TAG_SIZE
-    assert len(ct.body) == len(msg)
-    blob = ct.to_bytes()
-    assert blob == ct.iv + ct.body + ct.tag
-    back = Ciphertext.from_bytes(blob)
-    assert back == ct
+    nonce = rng.randbytes(12)
+    sealed = seal_slots(key.data, msg, nonce, 1, len(msg))[0]
+    assert len(sealed) == sealed_size(len(msg)) == 12 + len(msg) + 16
+    assert sealed[:12] == nonce
+    assert msg not in sealed
 
 
-def test_ciphertext_from_bytes_too_short():
-    with pytest.raises(FormatError):
-        Ciphertext.from_bytes(b"\x00" * 31)
+def test_ciphertext_from_bytes_too_short(rng):
+    key = keygen(128, rng)
+    with pytest.raises(ParameterError):
+        _open(key, b"\x00" * 27, 0)
 
 
 def test_block_size_cap(rng):
     key = keygen(128, rng)
-    encrypt_block(key, b"x" * 64, rng, block_size=64)
-    with pytest.raises(SizeError):
-        encrypt_block(key, b"x" * 65, rng, block_size=64)
+    seal_slots(key.data, b"x" * 64, fresh_nonces(1), 1, 64)
+    with pytest.raises(ParameterError):
+        seal_slots(key.data, b"x" * 65, fresh_nonces(1), 1, 64)
 
 
 def test_tamper_detection(rng):
     key = keygen(128, rng)
-    ct = encrypt_block(key, b"payload", rng)
-    for field, mutated in [
-        ("body", Ciphertext(ct.iv, bytes([ct.body[0] ^ 1]) + ct.body[1:], ct.tag)),
-        ("tag", Ciphertext(ct.iv, ct.body, bytes([ct.tag[0] ^ 1]) + ct.tag[1:])),
-        ("iv", Ciphertext(bytes([ct.iv[0] ^ 1]) + ct.iv[1:], ct.body, ct.tag)),
-    ]:
+    sealed = _seal(key, b"payload")
+    for offset in (0, 12, len(sealed) - 1):  # nonce, body, tag
+        mutated = bytearray(sealed)
+        mutated[offset] ^= 1
         with pytest.raises(AuthenticationError):
-            decrypt_block(key, mutated)
+            _open(key, bytes(mutated), 7)
 
 
 def test_wrong_key_fails(rng):
     k1 = keygen(128, random.Random(1))
     k2 = keygen(128, random.Random(2))
-    ct = encrypt_block(k1, b"secret", rng)
     with pytest.raises(AuthenticationError):
-        decrypt_block(k2, ct)
+        _open(k2, _seal(k1, b"secret"), 6)
 
 
 def test_fresh_iv_per_call(rng):
     key = keygen(128, rng)
-    c1 = encrypt_block(key, b"same", rng)
-    c2 = encrypt_block(key, b"same", rng)
-    assert c1.iv != c2.iv
-    assert c1.body != c2.body
+    c1 = _seal(key, b"same")
+    c2 = _seal(key, b"same")
+    assert c1[:12] != c2[:12]
+    assert c1[12:] != c2[12:]
 
 
 def test_prf_deterministic_and_keyed(rng):
@@ -137,4 +125,4 @@ def test_partition_rejects_bad_m(rng):
 def test_roundtrip_property(msg, seed):
     r = random.Random(seed)
     key = keygen(256, r)
-    assert decrypt_block(key, encrypt_block(key, msg, r)) == msg
+    assert _open(key, _seal(key, msg), len(msg)) == msg

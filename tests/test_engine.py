@@ -1,8 +1,10 @@
 import math
 import random
+import threading
 
 import pytest
 
+from shrouddb.crypto import partition_of
 from shrouddb.data import Database, Query, Record, point_query, range_query
 from shrouddb.engine import (
     EngineConfig,
@@ -15,10 +17,11 @@ from shrouddb.engine import (
 from shrouddb.errors import (
     BudgetError,
     DataError,
+    KeyNotFoundError,
     ParameterError,
     QueryError,
 )
-from shrouddb.storage import MemoryKvs
+from shrouddb.storage import INDEX_BITS, Kvs, MemoryKvs
 
 LN2 = math.log(2)
 
@@ -344,5 +347,106 @@ def test_sanitizers_persisted_to_meta_namespace():
             ds = deserialize(meta.get(bucket_key(slot)), beta=state.config.beta)
             live = state.sanitizers["key"][slot]
             assert ds.counts == live.counts
+    finally:
+        state.close()
+
+
+class RecordingKvs(Kvs):
+    """The server's view: every operation that reaches the storage
+    boundary, as (operation, ((key, value length), ...)), per namespace."""
+
+    def __init__(self):
+        self.inner = MemoryKvs()
+        self.log: dict[int, list] = {}
+        self._lock = threading.Lock()
+
+    def _record(self, op, pairs):
+        with self._lock:
+            ns = int.from_bytes(pairs[0][0], "big") >> INDEX_BITS
+            self.log.setdefault(ns, []).append((op, tuple(pairs)))
+
+    def get(self, key):
+        try:
+            value = self.inner.get(key)
+        except KeyNotFoundError:
+            self._record("get", [(key, None)])
+            raise
+        self._record("get", [(key, len(value))])
+        return value
+
+    def put(self, key, value):
+        self.inner.put(key, value)
+        self._record("put", [(key, len(value))])
+
+    def batch_get(self, keys):
+        values = self.inner.batch_get(keys)
+        self._record("batch_get", [(k, len(v)) for k, v in zip(keys, values)])
+        return values
+
+    def batch_put(self, pairs):
+        self.inner.batch_put(pairs)
+        self._record("batch_put", [(k, len(v)) for k, v in pairs])
+
+    def take(self):
+        with self._lock:
+            log, self.log = self.log, {}
+        return log
+
+
+def test_bucket_values_have_fixed_size():
+    rec = 24
+    kvs = RecordingKvs()
+    state = setup(small_db(rec=rec), config(m=2), kvs, seed=5)
+    try:
+        for a in range(0, 90, 15):
+            query(state, range_query(a, a + 7))
+        log = kvs.take()
+        want = 28 + state.config.Z * (8 + 16 + rec)
+        assert want == state.orams[0].bucket_bytes
+        for ns in (0, 1):  # the two ORAMs; the meta namespace holds sanitizers
+            sizes = {size for _, pairs in log[ns] for _, size in pairs if size is not None}
+            assert sizes == {want}
+    finally:
+        state.close()
+
+
+def test_server_view_independent_of_contents():
+    """Two databases of one size and config, different keys and payloads:
+    the server sees identical keys and value sizes during setup, and
+    during queries whose fetched counts are equal."""
+    r = random.Random(9)
+    keys1 = [r.randrange(100) for _ in range(300)]
+    # keys below 48 agree (so queries there match the same records), keys
+    # from 48 up are redrawn; every payload differs
+    keys2 = [k if k < 48 else r.randrange(48, 100) for k in keys1]
+    assert keys1 != keys2
+    dbs = [Database([Record(i, k, r.randbytes(24)) for i, k in enumerate(keys)])
+           for keys in (keys1, keys2)]
+    views, fetched = [], []
+    for db in dbs:
+        kvs = RecordingKvs()
+        state = setup(db, config(m=2), kvs, seed=17)
+        try:
+            setup_view = kvs.take()
+            counts = [query(state, range_query(a, a + 6)).per_oram_requests
+                      for a in range(0, 42, 3)]
+            views.append((setup_view, kvs.take()))
+            fetched.append(counts)
+        finally:
+            state.close()
+    assert fetched[0] == fetched[1]
+    assert any(sum(c) for c in fetched[0])
+    assert views[0][0] == views[1][0]  # setup
+    assert views[0][1] == views[1][1]  # queries
+
+
+def test_index_agrees_with_partition():
+    db = small_db()
+    state = setup(db, config(m=3), MemoryKvs(), seed=2)
+    try:
+        locs = state.indexes["key"].lookup_range(0, state.config.domain - 1)
+        assert sorted(rid for rid, _ in locs) == [r.rid for r in db.records]
+        for rid, oram in locs:
+            assert oram == state.addr_of[rid][0] == partition_of(state.hash_key, rid, 3)
     finally:
         state.close()

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from shrouddb.crypto import keygen
 from shrouddb.errors import (
     AddressError,
+    AuthenticationError,
     ParameterError,
     StashOverflowError,
+    StorageError,
     StorageNotEmptyError,
 )
 from shrouddb.oram import (
@@ -21,7 +23,7 @@ from shrouddb.oram import (
     stash_bound,
     write_op,
 )
-from shrouddb.storage import CountingKvs, MemoryKvs
+from shrouddb.storage import CountingKvs, MemoryKvs, bucket_key
 
 
 def make(capacity=32, payload=16, seed=7, Z=5, trace=False, store=None, **kw):
@@ -57,6 +59,37 @@ def test_init_refuses_nonempty_storage():
     make(store=kvs)
     with pytest.raises(StorageNotEmptyError):
         make(store=kvs)
+
+
+def test_same_seed_inits_write_different_ciphertexts():
+    a, b = MemoryKvs(), MemoryKvs()
+    sa, sb = make(seed=3, store=a), make(seed=3, store=b)
+    assert sa.key == sb.key and sa.pos == sb.pos  # the seed fixes keys and positions
+    keys = [bucket_key(i) for i in range(sa.n_buckets)]
+    va, vb = a.batch_get(keys), b.batch_get(keys)
+    assert all(x != y for x, y in zip(va, vb))
+    assert len({v[:12] for v in va + vb}) == 2 * len(keys)  # no nonce repeats
+
+
+def test_tampered_bucket_fails_authentication():
+    kvs = MemoryKvs()
+    st = make(capacity=16, payload=4, store=kvs)
+    st.access(write_op(1, b"good"))
+    root = bucket_key(0)  # on every path, and first in every batch
+    bad = bytearray(kvs.get(root))
+    bad[len(bad) // 2] ^= 1
+    kvs.put(root, bytes(bad))
+    with pytest.raises(AuthenticationError, match="message 0"):
+        st.access(read_op(1))
+
+
+def test_wrong_length_bucket_is_a_storage_error():
+    kvs = MemoryKvs()
+    st = make(capacity=16, payload=4, store=kvs)
+    root = bucket_key(0)
+    kvs.put(root, kvs.get(root)[:-1])
+    with pytest.raises(StorageError, match="bucket value has"):
+        st.access(read_op(1))
 
 
 def test_config_validation():

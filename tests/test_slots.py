@@ -1,101 +1,67 @@
-import random
-
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from shrouddb import _slots_py, slots
-from shrouddb.crypto import decrypt_block, encrypt_block, keygen, Ciphertext
+from shrouddb.crypto import keygen
 from shrouddb.errors import AuthenticationError, ParameterError
-
-try:
-    from shrouddb import _kernel
-except ImportError:
-    _kernel = None
-
-IMPLS = [pytest.param(_slots_py, id="python")]
-if _kernel is not None:
-    IMPLS.append(pytest.param(_kernel, id="c-openssl"))
+from shrouddb.slots import fresh_nonces, open_slots, seal_slots, sealed_size
 
 
-def _material(rng, count, body):
-    key = keygen(128, rng).data
-    plain = rng.randbytes(count * body)
-    ivs = rng.randbytes(16 * count)
-    return key, plain, ivs
+def _material(rng, count, size, bits=128):
+    return keygen(bits, rng).data, rng.randbytes(count * size)
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-@pytest.mark.parametrize("count,body", [(1, 8), (5, 24), (64, 1), (16, 4096)])
-def test_roundtrip(impl, count, body, rng):
-    key, plain, ivs = _material(rng, count, body)
-    sealed = impl.seal_slots(key, plain, ivs, count, body)
-    assert len(sealed) == count * (body + 32)
-    assert impl.open_slots(key, sealed, count, body) == plain
+@pytest.mark.parametrize("count,size", [(1, 8), (5, 24), (64, 1), (16, 4096)])
+def test_roundtrip(count, size, rng):
+    key, plain = _material(rng, count, size)
+    sealed = seal_slots(key, plain, fresh_nonces(count), count, size)
+    assert len(sealed) == count
+    assert all(len(msg) == sealed_size(size) == 28 + size for msg in sealed)
+    assert open_slots(key, sealed, count, size) == plain
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_slots_match_single_block_cipher(impl, rng):
-    """Each slot must be exactly iv || ciphertext || tag of one block."""
-    key, plain, ivs = _material(rng, 4, 32)
-    sealed = impl.seal_slots(key, plain, ivs, 4, 32)
-    from shrouddb.crypto import SymKey
-
-    sk = SymKey(key, 128)
-    for i in range(4):
-        slot = sealed[i * 64:(i + 1) * 64]
-        ct = Ciphertext.from_bytes(slot)
-        assert ct.iv == ivs[i * 16:(i + 1) * 16]
-        assert decrypt_block(sk, ct) == plain[i * 32:(i + 1) * 32]
+def test_message_layout(rng):
+    """Each message is nonce || ciphertext || tag of one AES-GCM call."""
+    key, plain = _material(rng, 4, 32)
+    nonces = rng.randbytes(4 * 12)
+    sealed = seal_slots(key, plain, nonces, 4, 32)
+    for i, msg in enumerate(sealed):
+        assert msg[:12] == nonces[i * 12:(i + 1) * 12]
+        assert AESGCM(key).decrypt(msg[:12], msg[12:], None) == plain[i * 32:(i + 1) * 32]
 
 
-@pytest.mark.skipif(_kernel is None, reason="kernel not built")
-def test_kernel_matches_fallback_bytes(rng):
-    key, plain, ivs = _material(rng, 32, 100)
-    a = _kernel.seal_slots(key, plain, ivs, 32, 100)
-    b = _slots_py.seal_slots(key, plain, ivs, 32, 100)
-    assert a == b
-    assert _kernel.open_slots(key, a, 32, 100) == _slots_py.open_slots(key, a, 32, 100)
+def test_tamper_reports_message(rng):
+    key, plain = _material(rng, 8, 16)
+    sealed = seal_slots(key, plain, fresh_nonces(8), 8, 16)
+    bad = bytearray(sealed[5])
+    bad[20] ^= 1  # a ciphertext bit of message 5
+    sealed[5] = bytes(bad)
+    with pytest.raises(AuthenticationError, match="message 5"):
+        open_slots(key, sealed, 8, 16)
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_tamper_reports_slot(impl, rng):
-    key, plain, ivs = _material(rng, 8, 16)
-    sealed = bytearray(impl.seal_slots(key, plain, ivs, 8, 16))
-    sealed[5 * 48 + 20] ^= 1  # flip a ciphertext bit in slot 5
-    with pytest.raises(AuthenticationError, match="slot 5"):
-        impl.open_slots(key, bytes(sealed), 8, 16)
-
-
-@pytest.mark.parametrize("impl", IMPLS)
-def test_length_validation(impl, rng):
-    key, plain, ivs = _material(rng, 4, 16)
+def test_length_validation(rng):
+    key, plain = _material(rng, 4, 16)
+    nonces = fresh_nonces(4)
     with pytest.raises(ParameterError):
-        impl.seal_slots(key, plain[:-1], ivs, 4, 16)
+        seal_slots(key, plain[:-1], nonces, 4, 16)
     with pytest.raises(ParameterError):
-        impl.seal_slots(key, plain, ivs[:-1], 4, 16)
-    sealed = impl.seal_slots(key, plain, ivs, 4, 16)
+        seal_slots(key, plain, nonces[:-1], 4, 16)
+    sealed = seal_slots(key, plain, nonces, 4, 16)
     with pytest.raises(ParameterError):
-        impl.open_slots(key, sealed[:-1], 4, 16)
-
-
-@pytest.mark.parametrize("impl", IMPLS)
-def test_bad_key_length(impl, rng):
-    _, plain, ivs = _material(rng, 2, 8)
+        open_slots(key, sealed[:-1], 4, 16)  # one message short
     with pytest.raises(ParameterError):
-        impl.seal_slots(b"tiny", plain, ivs, 2, 8)
+        open_slots(key, sealed[:3] + [sealed[3][:-1]], 4, 16)  # one byte short
 
 
-def test_selector_exposes_kernel_name():
-    assert slots.KERNEL in ("python", "c-openssl")
-    assert callable(slots.seal_slots)
-    assert callable(slots.open_slots)
+def test_bad_key_length(rng):
+    _, plain = _material(rng, 2, 8)
+    with pytest.raises(ParameterError):
+        seal_slots(b"tiny", plain, fresh_nonces(2), 2, 8)
+    with pytest.raises(ParameterError):
+        open_slots(b"tiny", [bytes(sealed_size(8))] * 2, 2, 8)
 
 
 def test_256_bit_keys(rng):
-    key = keygen(256, rng).data
-    plain = rng.randbytes(3 * 10)
-    ivs = rng.randbytes(3 * 16)
-    for impl in (_slots_py, _kernel):
-        if impl is None:
-            continue
-        sealed = impl.seal_slots(key, plain, ivs, 3, 10)
-        assert impl.open_slots(key, sealed, 3, 10) == plain
+    key, plain = _material(rng, 3, 10, bits=256)
+    sealed = seal_slots(key, plain, fresh_nonces(3), 3, 10)
+    assert open_slots(key, sealed, 3, 10) == plain

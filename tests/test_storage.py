@@ -1,3 +1,4 @@
+import random
 import re
 import socket
 import struct
@@ -84,6 +85,45 @@ def test_disk_persistence(tmp_path):
     assert d2.get(k(5)) == b"FIVE"
     assert d2.get(k(6)) == b"six"
     d2.close()
+
+
+def test_disk_torn_tail_is_cut_on_reopen(tmp_path):
+    path = tmp_path / "torn.log"
+    d = DiskKvs(path)
+    d.put(k(1), b"a" * 100)
+    d.close()
+    whole = path.stat().st_size
+    with open(path, "r+b") as fh:  # a crash 30 bytes short of the end
+        fh.truncate(whole - 30)
+    d = DiskKvs(path)
+    with pytest.raises(KeyNotFoundError):
+        d.get(k(1))  # the torn record is gone, not returned short
+    assert path.stat().st_size == 0
+    d.put(k(2), b"b" * 10)  # lands on a record boundary
+    d.close()
+    d = DiskKvs(path)
+    assert d.get(k(2)) == b"b" * 10
+    with pytest.raises(KeyNotFoundError):
+        d.get(k(1))
+    d.close()
+
+
+def test_disk_torn_header_is_cut_on_reopen(tmp_path):
+    path = tmp_path / "torn.log"
+    d = DiskKvs(path)
+    d.batch_put([(k(1), b"one"), (k(2), b"two")])
+    d.close()
+    with open(path, "r+b") as fh:  # keep record 1 and half of record 2's header
+        fh.truncate(8 + 4 + 3 + 6)
+    d = DiskKvs(path)
+    assert d.get(k(1)) == b"one"
+    d.put(k(3), b"three")
+    d.close()
+    d = DiskKvs(path)
+    assert d.batch_get([k(1), k(3)]) == [b"one", b"three"]
+    with pytest.raises(KeyNotFoundError):
+        d.get(k(2))
+    d.close()
 
 
 def test_memory_clear_and_sizes():
@@ -236,3 +276,24 @@ def test_remote_concurrent_connections(server):
     for t in threads:
         t.join()
     assert not errs
+
+
+def test_shared_remote_handle_serves_all_orams(server):
+    """One caller-supplied RemoteKvs shared by m = 4 pool workers."""
+    from shrouddb.data import Database, Record, range_query
+    from shrouddb.engine import EngineConfig, query, setup
+
+    host, port = server
+    r = random.Random(5)
+    db = Database([Record(i, r.randrange(100), r.randbytes(64)) for i in range(200)])
+    remote = RemoteKvs(host, port)
+    state = setup(db, EngineConfig(domain=100, record_size=64, m=4), remote, 3)
+    try:
+        for a in range(0, 100, 20):
+            res = query(state, range_query(a, a + 9))
+            assert [x.rid for x in res.records] == \
+                sorted(x.rid for x in db.records if a <= x.key <= a + 9)
+            assert all(x == db.records[x.rid] for x in res.records)
+    finally:
+        state.close()
+        remote.close()
