@@ -10,10 +10,8 @@ held to, and the verdict.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2_contingency
@@ -28,8 +26,6 @@ __all__ = [
     "audit_dp_ratio",
     "audit_alpha_point_minimality",
     "audit_alpha_range_minimality",
-    "save_trace",
-    "load_trace",
 ]
 
 
@@ -161,20 +157,3 @@ def audit_alpha_range_minimality(epsilon: float, beta: float, N: int,
         name="alpha-range-minimality", statistic=float(alpha),
         threshold=float(alpha), passed=ok and minimal, sample_size=nodes,
         detail="holds" + ("+minimal" if minimal else "+NOT-minimal"))
-
-
-def save_trace(trace: list[int], path: str | Path) -> None:
-    """Leaf trace as little-endian u32s, count first."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(trace)))
-        fh.write(struct.pack(f"<{len(trace)}I", *trace))
-
-
-def load_trace(path: str | Path) -> list[int]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise ParameterError(f"no trace header in {path}")
-    (count,) = struct.unpack_from("<I", raw, 0)
-    if len(raw) != 4 + 4 * count:
-        raise ParameterError(f"trace length mismatch in {path}")
-    return list(struct.unpack_from(f"<{count}I", raw, 4))

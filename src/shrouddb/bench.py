@@ -27,7 +27,7 @@ from shrouddb.data import Database, Query, Record, point_query, range_query
 from shrouddb.engine import EngineConfig, EngineState, QueryResult, query, setup
 from shrouddb.errors import DataError, ParameterError
 from shrouddb.rng import derive_stream
-from shrouddb.storage import CountingKvs, Kvs, KvsView, bucket_key, connect
+from shrouddb.storage import CountingKvs, bucket_key, connect
 
 __all__ = [
     "ExperimentSpec",
@@ -346,7 +346,7 @@ def _run_scan(spec: ExperimentSpec, db: Database, qs: list[Query], clock,
               data_dir) -> ExperimentResult:
     """Baseline: every query downloads all records and filters locally."""
     key = keygen(128, derive_stream(spec.seed, "scan"))
-    store = CountingKvs(KvsView(connect(spec.storage, data_dir), 0))
+    store = CountingKvs(connect(spec.storage, data_dir))
     counters = store.counters
     body = 16 + spec.record_size  # rid, key, payload
     try:
@@ -357,7 +357,6 @@ def _run_scan(spec: ExperimentSpec, db: Database, qs: list[Query], clock,
         all_keys = [bucket_key(i) for i in range(len(db))]
         store.batch_put(list(zip(all_keys, sealed)))
         server_bytes = sum(map(len, sealed))
-        counters.reset()
 
         rows: list[dict] = []
         answers: list[list[int]] = []

@@ -16,12 +16,18 @@ Three volume modes:
 * ``no-gamma``: every ORAM keeps its own sanitizer over its own
   records and fetches its own noisy count (budgets compose by max
   since the partitions are disjoint).
+
+Storage: ORAM j keeps its buckets under key namespace ``j - 1`` and
+the serialized sanitizers go under ``META_NAMESPACE``, one
+``batch_put`` per attribute. Each touched ORAM costs a query one
+``batch_get`` and one ``batch_put``, counted by its ``CountingKvs``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,8 +46,6 @@ from shrouddb.storage import (
     META_NAMESPACE,
     CountingKvs,
     Kvs,
-    KvsView,
-    RemoteKvs,
     bucket_key,
     connect,
     parse_backend,
@@ -146,10 +150,11 @@ class EngineState:
     budgets: dict[str, float]
     noise_rngs: list[random.Random]
     seed: int
-    meta_store: Kvs | None
+    meta_store: Kvs
     owned_stores: list[Kvs] = field(default_factory=list)
     _pool: ThreadPoolExecutor | None = None
     _meta_slot: int = 0
+    _busy: threading.Lock = field(default_factory=threading.Lock)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -191,36 +196,20 @@ def _parse_block(blob: bytes) -> tuple[int, int, bytes]:
 
 
 def _open_stores(config: EngineConfig, storage, data_dir):
-    """One Kvs per ORAM plus one for metadata.
+    """One Kvs per ORAM plus one for metadata, and the ones setup opened.
 
-    A caller-supplied store or a shared in-process one is fanned out
-    through namespace views (every backend serialises its own calls); a
+    A caller-supplied store or a shared in-process one serves every
+    ORAM (each backend holds its own lock across a batch); a
     ``remote=`` spec gets one connection per ORAM so batches can fly in
-    parallel.
+    parallel. The ORAMs and the metadata keep apart by key namespace.
     """
-    owned: list[Kvs] = []
     if isinstance(storage, Kvs):
-        base = [storage] * config.m
-        meta = storage
-    else:
-        kind, endpoint = parse_backend(storage)
-        if kind == "remote":
-            host, port = endpoint.split(":")
-            base = []
-            for _ in range(config.m):
-                conn = RemoteKvs(host, int(port))
-                base.append(conn)
-                owned.append(conn)
-            meta = RemoteKvs(host, int(port))
-            owned.append(meta)
-        else:
-            shared = connect(storage, data_dir)
-            owned.append(shared)
-            base = [shared] * config.m
-            meta = shared
-    oram_stores = [KvsView(base[j - 1], j - 1) for j in range(1, config.m + 1)]
-    meta_store = KvsView(meta, META_NAMESPACE)
-    return oram_stores, meta_store, owned
+        return [storage] * config.m, storage, []
+    if parse_backend(storage)[0] == "remote":
+        owned = [connect(storage) for _ in range(config.m + 1)]
+        return owned[:-1], owned[-1], owned
+    shared = connect(storage, data_dir)
+    return [shared] * config.m, shared, [shared]
 
 
 def setup(db: Database, config: EngineConfig, storage, seed: int,
@@ -255,7 +244,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int,
         oram_rng = derive_stream(seed, f"oram:{j}")
         cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload,
                          Z=config.Z)
-        st = oram_init(cfg, oram_key, counting, oram_rng)
+        st = oram_init(cfg, oram_key, counting, oram_rng, namespace=j - 1)
         orams.append(st)
         records = groups[j - 1]
         for lo in range(0, len(records), BULK_CHUNK):
@@ -300,10 +289,10 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
             column, N, k, epsilon, config.beta, rng)]
     state.sanitizers[attribute] = group
     state.budgets[attribute] = epsilon
-    if state.meta_store is not None:
-        for ds in group:
-            state.meta_store.put(bucket_key(state._meta_slot), sanitizer.serialize(ds))
-            state._meta_slot += 1
+    slot = state._meta_slot
+    state.meta_store.batch_put([(bucket_key(slot + i, META_NAMESPACE), sanitizer.serialize(ds))
+                                for i, ds in enumerate(group)])
+    state._meta_slot += len(group)
 
 
 def register_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
@@ -356,8 +345,19 @@ def query(state: EngineState, q: Query) -> QueryResult:
     """Answer ``q`` exactly while the server sees only the noisy volume.
 
     If a noisy count undershoots the truth the query is marked failed
-    (volume hiding broke for it) but still answers correctly.
+    (volume hiding broke for it) but still answers correctly. One query
+    runs on a state at a time; a second concurrent call raises
+    ``QueryError`` rather than interleave ORAM batches.
     """
+    if not state._busy.acquire(blocking=False):
+        raise QueryError("another query is running on this state")
+    try:
+        return _query(state, q)
+    finally:
+        state._busy.release()
+
+
+def _query(state: EngineState, q: Query) -> QueryResult:
     config = state.config
     if q.attribute not in state.indexes:
         raise QueryError(f"attribute {q.attribute!r} is not indexed")

@@ -33,14 +33,6 @@ class StorageError(ShroudError):
     """Base class for key-value storage failures."""
 
 
-class KeyNotFoundError(StorageError, KeyError):
-    """GET on a key that was never PUT."""
-
-    def __init__(self, key: bytes):
-        super().__init__(key)
-        self.key = key
-
-
 class BatchError(StorageError):
     """A batch operation failed; ``missing`` lists the offending keys."""
 

@@ -28,7 +28,6 @@ from shrouddb.crypto import SymKey
 from shrouddb.errors import (
     AddressError,
     BatchError,
-    KeyNotFoundError,
     ParameterError,
     StashOverflowError,
     StorageError,
@@ -129,11 +128,13 @@ class OramState:
     """Client half of one ORAM: position map, stash, keys, counters.
 
     Owned by exactly one worker at a time; parallelism happens across
-    independent instances, never within one.
+    independent instances, never within one. Bucket ``i`` is stored
+    under ``bucket_key(i, namespace)``, so instances with distinct
+    namespaces can share one store.
     """
 
     def __init__(self, config: OramConfig, key: SymKey, store: Kvs,
-                 rng: random.Random, trace: bool = False):
+                 rng: random.Random, namespace: int = 0):
         self.config = config
         self.key = key
         self.store = store
@@ -149,12 +150,10 @@ class OramState:
         self.pos = [rng.randrange(self.leaves) for _ in range(config.capacity)]
         self.stash: dict[int, bytes] = {}
         self.stash_peak = 0
-        self.trace: list[int] | None = [] if trace else None
         self.overflowed = False
         self._zeros = bytes(config.block_payload)
         self._dummy_body = DUMMY_ADDR.to_bytes(ADDR_SIZE, "big") + self._zeros
-        self._bucket_keys = [bucket_key(i) for i in range(self.n_buckets)]
-        self._remap_enabled = True  # tests disable to prove the audit catches it
+        self._bucket_keys = [bucket_key(i, namespace) for i in range(self.n_buckets)]
 
     # -- protocol ---------------------------------------------------------
 
@@ -177,6 +176,8 @@ class OramState:
         return self.rng.randrange(self.leaves)
 
     def _transact(self, ops: list[AccessOp]) -> list[bytes | None]:
+        if self.overflowed:
+            raise StashOverflowError("stash overflowed earlier; this ORAM refuses access")
         if not ops:
             raise ParameterError("access batch must be nonempty")
         capacity, payload = self.config.capacity, self.config.block_payload
@@ -221,8 +222,7 @@ class OramState:
                 results.append(None)
             else:
                 results.append(stash.get(op.addr, self._zeros))
-            if self._remap_enabled:
-                self.pos[op.addr] = self._draw_leaf()
+            self.pos[op.addr] = self._draw_leaf()
 
         new_stash, placed = self._evict(bucket_ids)
         parts: list[bytes] = []
@@ -247,8 +247,6 @@ class OramState:
         self.stash = new_stash
         if len(new_stash) > self.stash_peak:
             self.stash_peak = len(new_stash)
-        if self.trace is not None:
-            self.trace.extend(read_leaves)
         if len(new_stash) > self.stash_limit:
             self.overflowed = True
             raise StashOverflowError(
@@ -316,16 +314,18 @@ class OramState:
 
 
 def oram_init(config: OramConfig, key: SymKey, store: Kvs,
-              rng: random.Random, trace: bool = False) -> OramState:
+              rng: random.Random, namespace: int = 0) -> OramState:
     """Populate empty storage with encrypted dummies and build the client.
 
-    Writes all ``2^(L+1) - 1`` buckets, each ``Z`` dummy slots sealed
-    under a fresh nonce, in one batch; draws a uniform position map.
+    Probes the root bucket with a one-key batch read, which must miss;
+    then writes all ``2^(L+1) - 1`` buckets, each ``Z`` dummy slots
+    sealed under a fresh nonce, in one batch; draws a uniform position
+    map.
     """
-    state = OramState(config, key, store, rng, trace=trace)
+    state = OramState(config, key, store, rng, namespace)
     try:
-        store.get(bucket_key(0))
-    except KeyNotFoundError:
+        store.batch_get(state._bucket_keys[:1])
+    except BatchError:
         pass
     else:
         raise StorageNotEmptyError("storage already holds a bucket tree; clear it first")

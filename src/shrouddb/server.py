@@ -1,91 +1,46 @@
 """TCP key-value server speaking the shrouddb wire protocol.
 
 One thread per connection; each ORAM worker owns one connection, so no
-cross-connection ordering is promised. Batch puts apply fully or not at
-all. The server is the modeled adversary: it sees keys, sizes, and
-timing, never plaintext.
+cross-connection ordering is promised. Every request is one batch on
+one backend from ``shrouddb.storage``, which holds its lock across the
+batch, so no connection sees half of another's. The server is the
+modeled adversary: it sees keys, sizes, and timing, never plaintext.
 """
 
 from __future__ import annotations
 
 import socket
 import socketserver
-import threading
 from pathlib import Path
 
 from shrouddb import wire
-from shrouddb.errors import KeyNotFoundError, ParameterError
-from shrouddb.storage import DiskKvs, MemoryKvs
+from shrouddb.errors import BatchError, ParameterError
+from shrouddb.storage import Kvs, connect
 
 
-class _Backend:
-    """Shared store with coarse locking so batches apply atomically."""
-
-    def __init__(self, kind: str, data_dir: str | Path | None):
-        if kind == "memory":
-            self.kvs = MemoryKvs()
-        elif kind == "disk":
-            if data_dir is None:
-                raise ParameterError("disk backend requires --data-dir")
-            self.kvs = DiskKvs(Path(data_dir) / "store.log")
-        else:
-            raise ParameterError(f"unknown backend {kind!r}")
-        self.lock = threading.Lock()
-
-    def handle(self, opcode: int, payload: bytes) -> tuple[int, bytes]:
-        if opcode == wire.OP_GET:
-            if len(payload) != wire.KEY_SIZE:
-                return wire.ST_ERROR, b"GET payload must be an 8-byte key"
-            with self.lock:
-                try:
-                    return wire.ST_OK, self.kvs.get(payload)
-                except KeyNotFoundError:
-                    return wire.ST_MISSING, payload
-
-        if opcode == wire.OP_PUT:
-            if len(payload) < wire.KEY_SIZE:
-                return wire.ST_ERROR, b"PUT payload too short"
-            with self.lock:
-                self.kvs.put(payload[:wire.KEY_SIZE], payload[wire.KEY_SIZE:])
-            return wire.ST_OK, b""
-
-        if opcode == wire.OP_BATCH_GET:
-            keys = wire.unpack_keys(payload)
-            if not keys:
-                return wire.ST_ERROR, b"empty batch"
-            values, missing = [], []
-            with self.lock:
-                for k in keys:
-                    try:
-                        values.append(self.kvs.get(k))
-                    except KeyNotFoundError:
-                        missing.append(k)
-            if missing:
-                return wire.ST_MISSING, wire.pack_keys(missing)
-            return wire.ST_OK, wire.pack_values(values)
-
-        if opcode == wire.OP_BATCH_PUT:
-            pairs = wire.unpack_pairs(payload)
-            if not pairs:
-                return wire.ST_ERROR, b"empty batch"
-            with self.lock:
-                self.kvs.batch_put(pairs)
-            return wire.ST_OK, b""
-
-        return wire.ST_ERROR, f"unknown opcode {opcode:#x}".encode()
+def _answer(kvs: Kvs, opcode: int, payload: bytes) -> tuple[int, bytes]:
+    if opcode == wire.OP_BATCH_GET:
+        try:
+            return wire.ST_OK, wire.pack_values(kvs.batch_get(wire.unpack_keys(payload)))
+        except BatchError as exc:
+            return wire.ST_MISSING, wire.pack_keys(exc.missing)
+    if opcode == wire.OP_BATCH_PUT:
+        kvs.batch_put(wire.unpack_pairs(payload))
+        return wire.ST_OK, b""
+    return wire.ST_ERROR, f"unknown opcode {opcode:#x}".encode()
 
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        backend: _Backend = self.server.backend  # type: ignore[attr-defined]
+        kvs: Kvs = self.server.kvs  # type: ignore[attr-defined]
         while True:
             try:
                 opcode, payload = wire.read_request(self.request)
             except (ConnectionError, ValueError, OSError):
                 return
             try:
-                status, out = backend.handle(opcode, payload)
+                status, out = _answer(kvs, opcode, payload)
             except Exception as exc:  # surface, never kill the connection
                 status, out = wire.ST_ERROR, str(exc).encode()
             try:
@@ -99,7 +54,9 @@ class KvsServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, host: str, port: int, backend: str, data_dir: str | Path | None = None):
-        self.backend = _Backend(backend, data_dir)
+        if backend not in ("memory", "disk"):
+            raise ParameterError(f"unknown backend {backend!r}")
+        self.kvs = connect(backend, data_dir)
         super().__init__((host, port), _Handler)
 
     @property

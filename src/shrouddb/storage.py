@@ -1,10 +1,13 @@
 """Untrusted key-value storage: in-memory, on-disk log, and remote TCP.
 
-All backends share one contract: 8-byte keys, arbitrary byte values,
-get-after-put reads the last value written, batch operations complete
-in one round trip and are all-or-nothing. ``CountingKvs`` instruments
-round trips and logical traffic; ``KvsView`` carves namespaces out of
-the key space so several ORAM stores can share one server.
+All backends share one contract of two batch operations: ``batch_put``
+stores every pair, ``batch_get`` returns the last value written under
+each key or raises ``BatchError`` naming the missing keys. Keys are 8
+bytes, values arbitrary; each batch is one round trip and holds the
+backend's lock throughout, so it is all-or-nothing to other callers.
+``CountingKvs`` is the one wrapper: it counts round trips and logical
+traffic. Several stores share one server by key: ``bucket_key`` puts a
+12-bit namespace above a 52-bit index.
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from shrouddb import wire
 from shrouddb.errors import (
     BatchError,
-    KeyNotFoundError,
     ParameterError,
     StorageClosedError,
     StorageError,
@@ -39,13 +41,7 @@ def _check_key(key: bytes) -> None:
 
 
 class Kvs:
-    """Backend interface; subclasses provide the four operations."""
-
-    def get(self, key: bytes) -> bytes:
-        raise NotImplementedError
-
-    def put(self, key: bytes, value: bytes) -> None:
-        raise NotImplementedError
+    """Backend interface; subclasses provide the two batch operations."""
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         raise NotImplementedError
@@ -69,20 +65,6 @@ class MemoryKvs(Kvs):
         if self._closed:
             raise StorageClosedError("handle is closed")
 
-    def get(self, key: bytes) -> bytes:
-        self._ensure_open()
-        _check_key(key)
-        try:
-            return self._data[key]
-        except KeyError:
-            raise KeyNotFoundError(key) from None
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._ensure_open()
-        _check_key(key)
-        with self._lock:
-            self._data[key] = bytes(value)
-
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         self._ensure_open()
         if not keys:
@@ -104,17 +86,6 @@ class MemoryKvs(Kvs):
         with self._lock:
             for k, v in pairs:
                 self._data[k] = bytes(v)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._data.values())
-
-    def __len__(self) -> int:
-        return len(self._data)
 
     def close(self) -> None:
         self._closed = True
@@ -166,27 +137,6 @@ class DiskKvs(Kvs):
         self._file.write(key + struct.pack(">I", len(value)) + value)
         self._index[key] = (off + KEY_SIZE + 4, len(value))
 
-    def get(self, key: bytes) -> bytes:
-        self._ensure_open()
-        _check_key(key)
-        with self._lock:
-            try:
-                off, vlen = self._index[key]
-            except KeyError:
-                raise KeyNotFoundError(key) from None
-            self._file.flush()
-            self._file.seek(off)
-            value = self._file.read(vlen)
-            self._file.seek(0, 2)
-            return value
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._ensure_open()
-        _check_key(key)
-        with self._lock:
-            self._append(key, value)
-            self._file.flush()
-
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         self._ensure_open()
         if not keys:
@@ -217,17 +167,18 @@ class DiskKvs(Kvs):
                 self._append(k, v)
             self._file.flush()
 
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(vlen for _, vlen in self._index.values())
-
-    def __len__(self) -> int:
-        return len(self._index)
-
     def close(self) -> None:
         if not self._file.closed:
             self._file.flush()
             self._file.close()
+
+
+def _decode(unpack, payload: bytes):
+    """Unpack a response payload; a malformed one is a storage failure."""
+    try:
+        return unpack(payload)
+    except (struct.error, ValueError) as exc:
+        raise StorageError(f"malformed response: {exc}") from exc
 
 
 class RemoteKvs(Kvs):
@@ -259,21 +210,6 @@ class RemoteKvs(Kvs):
         except (ConnectionError, OSError, ValueError) as exc:
             raise StorageError(f"transport failure: {exc}") from exc
 
-    def get(self, key: bytes) -> bytes:
-        _check_key(key)
-        status, payload = self._call(wire.OP_GET, key)
-        if status == wire.ST_OK:
-            return payload
-        if status == wire.ST_MISSING:
-            raise KeyNotFoundError(key)
-        raise StorageError(payload.decode(errors="replace"))
-
-    def put(self, key: bytes, value: bytes) -> None:
-        _check_key(key)
-        status, payload = self._call(wire.OP_PUT, key + value)
-        if status != wire.ST_OK:
-            raise StorageError(payload.decode(errors="replace"))
-
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         if not keys:
             raise ParameterError("batch_get requires at least one key")
@@ -281,9 +217,13 @@ class RemoteKvs(Kvs):
             _check_key(k)
         status, payload = self._call(wire.OP_BATCH_GET, wire.pack_keys(keys))
         if status == wire.ST_OK:
-            return wire.unpack_values(payload)
+            values = _decode(wire.unpack_values, payload)
+            if len(values) != len(keys):
+                raise StorageError(f"malformed response: {len(values)} values "
+                                   f"for {len(keys)} keys")
+            return values
         if status == wire.ST_MISSING:
-            missing = wire.unpack_keys(payload)
+            missing = _decode(wire.unpack_keys, payload)
             raise BatchError(f"{len(missing)} keys missing: {missing[:4]}", missing)
         raise StorageError(payload.decode(errors="replace"))
 
@@ -316,9 +256,6 @@ class TrafficCounters:
     def snapshot(self) -> "TrafficCounters":
         return TrafficCounters(self.roundtrips, self.bytes_up, self.bytes_down)
 
-    def reset(self) -> None:
-        self.roundtrips = self.bytes_up = self.bytes_down = 0
-
 
 class CountingKvs(Kvs):
     """Wrapper that counts round trips and logical bytes moved."""
@@ -327,22 +264,10 @@ class CountingKvs(Kvs):
         self.inner = inner
         self.counters = TrafficCounters()
 
-    def get(self, key: bytes) -> bytes:
-        self.counters.roundtrips += 1
-        self.counters.bytes_up += KEY_SIZE
-        value = self.inner.get(key)  # a miss still cost the round trip
-        self.counters.bytes_down += len(value)
-        return value
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.inner.put(key, value)
-        self.counters.roundtrips += 1
-        self.counters.bytes_up += KEY_SIZE + len(value)
-
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         self.counters.roundtrips += 1
         self.counters.bytes_up += KEY_SIZE * len(keys)
-        values = self.inner.batch_get(keys)
+        values = self.inner.batch_get(keys)  # a miss still cost the round trip
         self.counters.bytes_down += sum(len(v) for v in values)
         return values
 
@@ -355,46 +280,14 @@ class CountingKvs(Kvs):
         self.inner.close()
 
 
-class KvsView(Kvs):
-    """Namespaced window onto a shared store.
-
-    Maps local key ``i`` to global key ``(namespace << 52) | i``. With
-    namespace 0 the mapping is the identity, so a standalone store sees
-    plain 8-byte big-endian indices.
-    """
-
-    def __init__(self, inner: Kvs, namespace: int):
-        if not 0 <= namespace <= META_NAMESPACE:
-            raise ParameterError(f"namespace out of range: {namespace}")
-        self.inner = inner
-        self.namespace = namespace
-
-    def _map(self, key: bytes) -> bytes:
-        _check_key(key)
-        idx = int.from_bytes(key, "big")
-        if idx >= MAX_INDEX:
-            raise ParameterError(f"key index {idx} exceeds namespaced key space")
-        return ((self.namespace << INDEX_BITS) | idx).to_bytes(KEY_SIZE, "big")
-
-    def get(self, key: bytes) -> bytes:
-        return self.inner.get(self._map(key))
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.inner.put(self._map(key), value)
-
-    def batch_get(self, keys: list[bytes]) -> list[bytes]:
-        return self.inner.batch_get([self._map(k) for k in keys])
-
-    def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        self.inner.batch_put([(self._map(k), v) for k, v in pairs])
-
-    def close(self) -> None:
-        pass  # views never own the underlying handle
-
-
-def bucket_key(index: int) -> bytes:
-    """8-byte big-endian bucket key."""
-    return index.to_bytes(KEY_SIZE, "big")
+def bucket_key(index: int, namespace: int = 0) -> bytes:
+    """8-byte big-endian key ``(namespace << 52) | index``; namespace 0
+    leaves the index as it is."""
+    if not 0 <= namespace <= META_NAMESPACE:
+        raise ParameterError(f"namespace out of range: {namespace}")
+    if not 0 <= index < MAX_INDEX:
+        raise ParameterError(f"key index {index} exceeds namespaced key space")
+    return ((namespace << INDEX_BITS) | index).to_bytes(KEY_SIZE, "big")
 
 
 def parse_backend(spec: str) -> tuple[str, str | None]:
@@ -418,6 +311,6 @@ def connect(spec: str, data_dir: str | Path | None = None) -> Kvs:
             raise ParameterError("disk backend requires a data directory")
         return DiskKvs(Path(data_dir) / "store.log")
     host, _, port = endpoint.rpartition(":")
-    if not host:
+    if not host or not port.isdigit():
         raise ParameterError(f"remote spec needs HOST:PORT, got {endpoint!r}")
     return RemoteKvs(host, int(port))

@@ -5,19 +5,19 @@ the opcode byte plus payload. Response frame mirrors the request with
 opcode ``0x80 | op`` and a status byte: ``[u32 length][u8 0x80|op][u8
 status][payload]``. All integers are big-endian.
 
+The protocol has two operations, the two of the storage contract; any
+other opcode is answered with an ERROR frame carrying a message.
+
 Payloads:
-    GET        key(8)                      -> OK: value | MISSING: key(8)
-    PUT        key(8) value                -> OK: empty
-    BATCH_GET  u32 n, n x key(8)           -> OK: n x (u32 len, value)
-                                              MISSING: u32 n, n x key(8)
+    BATCH_GET  u32 n, n x key(8)           -> OK: u32 n, n x (u32 len, value)
+                                              MISSING: u32 k, k x key(8), the
+                                              keys never written
     BATCH_PUT  u32 n, n x (key(8), u32 len, value) -> OK: empty
 """
 
 import socket
 import struct
 
-OP_GET = 0x01
-OP_PUT = 0x02
 OP_BATCH_GET = 0x03
 OP_BATCH_PUT = 0x04
 RESP_FLAG = 0x80

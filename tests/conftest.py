@@ -1,7 +1,12 @@
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from shrouddb.storage import MAX_INDEX, MemoryKvs
 
 settings.register_profile(
     "default",
@@ -15,3 +20,41 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def server():
+    """``shrouddb serve`` on a free loopback port; yields (host, port)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shrouddb", "serve", "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, text=True)
+    line = proc.stdout.readline()
+    m = re.search(r"listening on (\S+):(\d+)", line)
+    assert m, line
+    yield m.group(1), int(m.group(2))
+    proc.terminate()
+    proc.wait()
+    proc.stdout.close()
+
+
+class LeafRecordingKvs(MemoryKvs):
+    """A store that records, for every ``batch_get`` it answers, the leaf
+    of the deepest bucket asked for: the path leaf the server saw read
+    when the batch is one ORAM access."""
+
+    def __init__(self):
+        super().__init__()
+        self.leaves: list[int] = []
+
+    def batch_get(self, keys):
+        values = super().batch_get(keys)
+        index = max(int.from_bytes(k, "big") for k in keys) % MAX_INDEX
+        depth = (index + 1).bit_length() - 1
+        self.leaves.append(index - ((1 << depth) - 1))
+        return values
+
+
+@pytest.fixture
+def leaf_kvs():
+    """Factory of ``LeafRecordingKvs`` stores."""
+    return LeafRecordingKvs

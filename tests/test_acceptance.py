@@ -8,7 +8,6 @@ seeded, so a failure here reproduces exactly.
 
 import hashlib
 import math
-import re
 import subprocess
 import sys
 import time
@@ -71,24 +70,11 @@ def report(request):
     return _line
 
 
-def _deploy_oram(capacity, payload, seed, trace=False, store=None):
+def _deploy_oram(capacity, payload, seed, store=None):
     cfg = OramConfig(capacity=capacity, block_payload=payload)
     return oram_init(cfg, keygen(128, derive_stream(seed, "key")),
                      store if store is not None else MemoryKvs(),
-                     derive_stream(seed, "rng"), trace=trace)
-
-
-@pytest.fixture
-def server():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "shrouddb", "serve", "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, text=True)
-    line = proc.stdout.readline()
-    m = re.search(r"listening on (\S+):(\d+)", line)
-    assert m, line
-    yield m.group(1), int(m.group(2))
-    proc.terminate()
-    proc.wait()
+                     derive_stream(seed, "rng"))
 
 
 # -- 1: exact answers across datasets, sizes and deployments ------------------
@@ -199,16 +185,19 @@ def test_c03_sanitizer_guarantee(report):
 
 # -- 4: access pattern indistinguishability ---------------------------------------
 
-def test_c04_obliviousness(report):
+def test_c04_obliviousness(report, leaf_kvs):
     accesses, cap = 100_000, 1024
 
     def run_program(seed, hot, remap=True):
-        st = _deploy_oram(cap, 16, seed, trace=True)
-        st._remap_enabled = remap
+        """The leaves the server saw read, recorded at the storage boundary."""
+        store = leaf_kvs()
+        st = _deploy_oram(cap, 16, seed, store=store)
+        if not remap:  # the mutant: address 7 never leaves its first leaf
+            st._draw_leaf = lambda: st.pos[7]
         rng = derive_stream(seed, "prog")
         for _ in range(accesses):
             st.access(read_op(7 if hot else rng.randrange(cap)))
-        return st.trace
+        return store.leaves
 
     uniform = run_program(100, hot=False)
     hot = run_program(101, hot=True)

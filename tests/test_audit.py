@@ -9,8 +9,6 @@ from shrouddb.audit import (
     audit_alpha_range_minimality,
     audit_dp_ratio,
     audit_obliviousness,
-    load_trace,
-    save_trace,
 )
 from shrouddb.errors import ParameterError
 from shrouddb.sanitizer import laplace_sample
@@ -117,7 +115,7 @@ def test_range_bias_minimal(eps, beta, N, k, alpha):
     assert "+minimal" in rep.detail
 
 
-# -- report and trace files ----------------------------------------------------------
+# -- report rendering ----------------------------------------------------------------
 
 def test_report_rendering():
     good = AuditReport("x", 0.5, 0.001, True, 10, detail="dof=3")
@@ -125,21 +123,3 @@ def test_report_rendering():
     assert str(good).startswith("[pass] x: ")
     assert "dof=3" in str(good)
     assert str(bad).startswith("[FAIL] y: ")
-
-
-def test_trace_roundtrip(tmp_path):
-    trace = [0, 7, 4095, 1, 1]
-    path = tmp_path / "t.bin"
-    save_trace(trace, path)
-    assert load_trace(path) == trace
-
-
-def test_trace_garbage_rejected(tmp_path):
-    short = tmp_path / "short.bin"
-    short.write_bytes(b"\x01")
-    with pytest.raises(ParameterError):
-        load_trace(short)
-    lying = tmp_path / "lying.bin"
-    lying.write_bytes((99).to_bytes(4, "little") + b"\x00" * 8)
-    with pytest.raises(ParameterError):
-        load_trace(lying)

@@ -15,9 +15,9 @@ from shrouddb.engine import (
     spent_budget,
 )
 from shrouddb.errors import (
+    BatchError,
     BudgetError,
     DataError,
-    KeyNotFoundError,
     ParameterError,
     QueryError,
 )
@@ -341,10 +341,10 @@ def test_sanitizers_persisted_to_meta_namespace():
     kvs = MemoryKvs()
     state = setup(db, config(mode="no-gamma", m=2), kvs, seed=4)
     try:
-        from shrouddb.storage import KvsView, META_NAMESPACE, bucket_key
-        meta = KvsView(kvs, META_NAMESPACE)
-        for slot in range(2):
-            ds = deserialize(meta.get(bucket_key(slot)), beta=state.config.beta)
+        from shrouddb.storage import META_NAMESPACE, bucket_key
+        blobs = kvs.batch_get([bucket_key(slot, META_NAMESPACE) for slot in range(2)])
+        for slot, blob in enumerate(blobs):
+            ds = deserialize(blob, beta=state.config.beta)
             live = state.sanitizers["key"][slot]
             assert ds.counts == live.counts
     finally:
@@ -353,7 +353,8 @@ def test_sanitizers_persisted_to_meta_namespace():
 
 class RecordingKvs(Kvs):
     """The server's view: every operation that reaches the storage
-    boundary, as (operation, ((key, value length), ...)), per namespace."""
+    boundary, as (operation, ((key, value length), ...)), per namespace.
+    A read that misses is recorded with no lengths."""
 
     def __init__(self):
         self.inner = MemoryKvs()
@@ -365,21 +366,12 @@ class RecordingKvs(Kvs):
             ns = int.from_bytes(pairs[0][0], "big") >> INDEX_BITS
             self.log.setdefault(ns, []).append((op, tuple(pairs)))
 
-    def get(self, key):
-        try:
-            value = self.inner.get(key)
-        except KeyNotFoundError:
-            self._record("get", [(key, None)])
-            raise
-        self._record("get", [(key, len(value))])
-        return value
-
-    def put(self, key, value):
-        self.inner.put(key, value)
-        self._record("put", [(key, len(value))])
-
     def batch_get(self, keys):
-        values = self.inner.batch_get(keys)
+        try:
+            values = self.inner.batch_get(keys)
+        except BatchError:
+            self._record("batch_get", [(k, None) for k in keys])
+            raise
         self._record("batch_get", [(k, len(v)) for k, v in zip(keys, values)])
         return values
 
@@ -407,6 +399,67 @@ def test_bucket_values_have_fixed_size():
             sizes = {size for _, pairs in log[ns] for _, size in pairs if size is not None}
             assert sizes == {want}
     finally:
+        state.close()
+
+
+def test_setup_server_view_is_one_probe_and_one_put_per_attribute():
+    from shrouddb.storage import META_NAMESPACE, bucket_key
+
+    records = small_db().records
+    db = Database(records, {"aux": [r.key // 2 for r in records]})
+    kvs = RecordingKvs()
+    state = setup(db, config(mode="no-gamma", m=2), kvs, seed=6)
+    try:
+        log = kvs.take()
+        for ns in (0, 1):
+            # a one-key read of the root that must miss, then the whole tree
+            # in one upload, before the bulk load's read and write-back
+            assert log[ns][0] == ("batch_get", ((bucket_key(0, ns), None),))
+            op, pairs = log[ns][1]
+            assert op == "batch_put" and len(pairs) == state.orams[ns].n_buckets
+            assert [op for op, _ in log[ns][2:]] == ["batch_get", "batch_put"]
+        meta = log[META_NAMESPACE]
+        assert [(op, [k for k, _ in pairs]) for op, pairs in meta] == \
+            [("batch_put", [bucket_key(0, META_NAMESPACE), bucket_key(1, META_NAMESPACE)])]
+        register_attribute(state, "aux", LN2)
+        assert [(op, [k for k, _ in pairs]) for op, pairs in kvs.take()[META_NAMESPACE]] == \
+            [("batch_put", [bucket_key(2, META_NAMESPACE), bucket_key(3, META_NAMESPACE)])]
+    finally:
+        state.close()
+
+
+def test_concurrent_query_is_refused():
+    class BlockingKvs(MemoryKvs):
+        """Holds the first armed batch read until ``release`` is set."""
+
+        def __init__(self):
+            super().__init__()
+            self.armed = False
+            self.entered, self.release = threading.Event(), threading.Event()
+
+        def batch_get(self, keys):
+            if self.armed:
+                self.armed = False
+                self.entered.set()
+                self.release.wait(30)
+            return super().batch_get(keys)
+
+    db, kvs, q = small_db(), BlockingKvs(), range_query(10, 30)
+    state = setup(db, config(m=2), kvs, seed=3)
+    try:
+        results = []
+        kvs.armed = True
+        worker = threading.Thread(target=lambda: results.append(query(state, q)))
+        worker.start()
+        assert kvs.entered.wait(30)
+        with pytest.raises(QueryError, match="another query"):
+            query(state, q)
+        kvs.release.set()
+        worker.join(30)
+        assert [r.rid for r in results[0].records] == expected(db, q)
+        assert [r.rid for r in query(state, q).records] == expected(db, q)
+    finally:
+        kvs.release.set()
         state.close()
 
 

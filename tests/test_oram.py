@@ -8,6 +8,7 @@ from shrouddb.crypto import keygen
 from shrouddb.errors import (
     AddressError,
     AuthenticationError,
+    BatchError,
     ParameterError,
     StashOverflowError,
     StorageError,
@@ -26,12 +27,11 @@ from shrouddb.oram import (
 from shrouddb.storage import CountingKvs, MemoryKvs, bucket_key
 
 
-def make(capacity=32, payload=16, seed=7, Z=5, trace=False, store=None, **kw):
+def make(capacity=32, payload=16, seed=7, Z=5, store=None, **kw):
     rng = random.Random(seed)
     key = keygen(128, rng)
     return oram_init(OramConfig(capacity=capacity, block_payload=payload, Z=Z, **kw),
-                     key, store if store is not None else MemoryKvs(), rng,
-                     trace=trace)
+                     key, store if store is not None else MemoryKvs(), rng)
 
 
 # -- geometry ---------------------------------------------------------------
@@ -49,8 +49,11 @@ def test_tree_shape_examples():
 def test_init_writes_full_dummy_tree():
     kvs = CountingKvs(MemoryKvs())
     st = make(capacity=20, payload=24, Z=5, store=kvs)
-    assert len(kvs.inner) == 7
-    assert kvs.counters.roundtrips == 2  # emptiness probe + one batch upload
+    assert len(kvs.inner.batch_get([bucket_key(i) for i in range(7)])) == 7
+    with pytest.raises(BatchError):
+        kvs.inner.batch_get([bucket_key(7)])
+    assert kvs.counters.roundtrips == 2  # one-key emptiness probe + one batch upload
+    assert kvs.counters.bytes_up == 8 + 7 * (8 + st.bucket_bytes)
     assert st.tree_blocks() == {}  # 35 slots, all dummies
 
 
@@ -59,6 +62,22 @@ def test_init_refuses_nonempty_storage():
     make(store=kvs)
     with pytest.raises(StorageNotEmptyError):
         make(store=kvs)
+
+
+def test_namespaces_share_one_store():
+    kvs = MemoryKvs()
+    a = oram_init(OramConfig(capacity=8, block_payload=4), keygen(128, random.Random(1)),
+                  kvs, random.Random(1), namespace=0)
+    b = oram_init(OramConfig(capacity=8, block_payload=4), keygen(128, random.Random(2)),
+                  kvs, random.Random(2), namespace=1)
+    a.access(write_op(1, b"AAAA"))
+    b.access(write_op(1, b"BBBB"))
+    assert a.access(read_op(1)) == b"AAAA"
+    assert b.access(read_op(1)) == b"BBBB"
+    assert kvs.batch_get([bucket_key(0, 1)])[0] != kvs.batch_get([bucket_key(0)])[0]
+    with pytest.raises(StorageNotEmptyError):
+        oram_init(OramConfig(capacity=8, block_payload=4), keygen(128, random.Random(3)),
+                  kvs, random.Random(3), namespace=1)
 
 
 def test_same_seed_inits_write_different_ciphertexts():
@@ -76,9 +95,9 @@ def test_tampered_bucket_fails_authentication():
     st = make(capacity=16, payload=4, store=kvs)
     st.access(write_op(1, b"good"))
     root = bucket_key(0)  # on every path, and first in every batch
-    bad = bytearray(kvs.get(root))
+    bad = bytearray(kvs.batch_get([root])[0])
     bad[len(bad) // 2] ^= 1
-    kvs.put(root, bytes(bad))
+    kvs.batch_put([(root, bytes(bad))])
     with pytest.raises(AuthenticationError, match="message 0"):
         st.access(read_op(1))
 
@@ -87,7 +106,7 @@ def test_wrong_length_bucket_is_a_storage_error():
     kvs = MemoryKvs()
     st = make(capacity=16, payload=4, store=kvs)
     root = bucket_key(0)
-    kvs.put(root, kvs.get(root)[:-1])
+    kvs.batch_put([(root, kvs.batch_get([root])[0][:-1])])
     with pytest.raises(StorageError, match="bucket value has"):
         st.access(read_op(1))
 
@@ -142,8 +161,9 @@ def test_op_shape_validation():
         st.access(write_op(0, b"too long"))
 
 
-def test_dict_oracle_workload(rng):
-    st = make(capacity=64, payload=16, trace=True)
+def test_dict_oracle_workload(rng, leaf_kvs):
+    kvs = leaf_kvs()
+    st = make(capacity=64, payload=16, store=kvs)
     oracle = {}
     for i in range(1500):
         a = rng.randrange(64)
@@ -153,7 +173,7 @@ def test_dict_oracle_workload(rng):
             oracle[a] = d
         else:
             assert st.access(read_op(a)) == oracle.get(a, bytes(16))
-    assert len(st.trace) == 1500
+    assert len(kvs.leaves) == 1500  # one path read per access
 
 
 def test_path_invariant_after_workload(rng):
@@ -225,7 +245,7 @@ def test_remap_on_every_access(rng):
 
 def test_mutant_remap_disabled_pins_leaf():
     st = make(capacity=16, payload=4)
-    st._remap_enabled = False
+    st._draw_leaf = lambda: st.leaves - 1  # the mutant: every remap lands on one leaf
     st.access(write_op(3, b"abcd"))
     leaf = st.pos[3]
     for _ in range(20):
@@ -236,13 +256,21 @@ def test_mutant_remap_disabled_pins_leaf():
 def test_stash_overflow_is_reported():
     # pin every block to leaf 0: one path can hold (L+1)*Z blocks, the
     # rest must pile up in the stash and trip the limit
-    st = make(capacity=64, payload=8, stash_limit=1)
-    st._remap_enabled = False
+    kvs = CountingKvs(MemoryKvs())
+    st = make(capacity=64, payload=8, stash_limit=1, store=kvs)
+    st._draw_leaf = lambda: 0
     st.pos = [0] * 64
     with pytest.raises(StashOverflowError):
         for i in range(64):
             st.access(write_op(i, bytes(8)))
     assert st.overflowed
+    # once overflowed, the ORAM refuses before it touches storage
+    before = kvs.counters.snapshot()
+    with pytest.raises(StashOverflowError):
+        st.access(read_op(0))
+    with pytest.raises(StashOverflowError):
+        st.batch_access([read_op(1), write_op(2, bytes(8))])
+    assert kvs.counters.snapshot() == before
 
 
 def test_write_back_failure_rolls_back():
@@ -263,7 +291,6 @@ def test_write_back_failure_rolls_back():
     pos_before = list(st.pos)
     stash_before = dict(st.stash)
     kvs.fail = True
-    from shrouddb.errors import BatchError
     with pytest.raises(BatchError):
         st.batch_access([write_op(2, b"bad!"), read_op(1)])
     assert st.pos == pos_before
@@ -273,11 +300,12 @@ def test_write_back_failure_rolls_back():
     assert st.access(read_op(2)) == bytes(4)  # rolled-back write never landed
 
 
-def test_trace_records_prebatch_leaves():
-    st = make(capacity=16, payload=4, trace=True)
+def test_trace_records_prebatch_leaves(leaf_kvs):
+    kvs = leaf_kvs()
+    st = make(capacity=16, payload=4, store=kvs)
     leaf = st.pos[5]
     st.access(read_op(5))
-    assert st.trace == [leaf]
+    assert kvs.leaves == [leaf]  # the server saw the leaf from before the access
 
 
 # -- stash bound ------------------------------------------------------------

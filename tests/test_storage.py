@@ -1,9 +1,6 @@
 import random
-import re
 import socket
 import struct
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -11,33 +8,21 @@ import pytest
 from shrouddb import wire
 from shrouddb.errors import (
     BatchError,
-    KeyNotFoundError,
     ParameterError,
     StorageClosedError,
+    StorageError,
 )
 from shrouddb.storage import (
+    MAX_INDEX,
+    META_NAMESPACE,
     CountingKvs,
     DiskKvs,
-    KvsView,
     MemoryKvs,
     RemoteKvs,
     bucket_key,
     connect,
     parse_backend,
 )
-
-
-@pytest.fixture
-def server():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "shrouddb", "serve", "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, text=True)
-    line = proc.stdout.readline()
-    m = re.search(r"listening on (\S+):(\d+)", line)
-    assert m, line
-    yield m.group(1), int(m.group(2))
-    proc.terminate()
-    proc.wait()
 
 
 def _backends(tmp_path, server_addr):
@@ -53,12 +38,13 @@ def k(i: int) -> bytes:
 
 def test_backend_contract(tmp_path, server):
     for kvs in _backends(tmp_path, server):
-        kvs.put(k(1), b"one")
-        assert kvs.get(k(1)) == b"one"
-        kvs.put(k(1), b"uno")  # overwrite
-        assert kvs.get(k(1)) == b"uno"
-        with pytest.raises(KeyNotFoundError):
-            kvs.get(k(99))
+        kvs.batch_put([(k(1), b"one")])
+        assert kvs.batch_get([k(1)]) == [b"one"]
+        kvs.batch_put([(k(1), b"uno")])  # overwrite
+        assert kvs.batch_get([k(1)]) == [b"uno"]
+        with pytest.raises(BatchError) as ei:
+            kvs.batch_get([k(99)])
+        assert ei.value.missing == [k(99)]
         kvs.batch_put([(k(2), b"two"), (k(3), b"three" * 100)])
         assert kvs.batch_get([k(3), k(2), k(1)]) == [b"three" * 100, b"two", b"uno"]
         with pytest.raises(BatchError) as ei:
@@ -69,42 +55,43 @@ def test_backend_contract(tmp_path, server):
         with pytest.raises(ParameterError):
             kvs.batch_put([])
         with pytest.raises(ParameterError):
-            kvs.get(b"bad")  # not 8 bytes
+            kvs.batch_get([b"bad"])  # not 8 bytes
         kvs.close()
+        with pytest.raises(StorageClosedError):
+            kvs.batch_get([k(1)])
 
 
 def test_disk_persistence(tmp_path):
     path = tmp_path / "p.log"
     d = DiskKvs(path)
-    d.put(k(5), b"five")
+    d.batch_put([(k(5), b"five")])
     d.batch_put([(k(6), b"six"), (k(5), b"FIVE")])
     d.close()
     with pytest.raises(StorageClosedError):
-        d.get(k(5))
+        d.batch_get([k(5)])
     d2 = DiskKvs(path)  # reopen rebuilds the index; later records win
-    assert d2.get(k(5)) == b"FIVE"
-    assert d2.get(k(6)) == b"six"
+    assert d2.batch_get([k(5), k(6)]) == [b"FIVE", b"six"]
     d2.close()
 
 
 def test_disk_torn_tail_is_cut_on_reopen(tmp_path):
     path = tmp_path / "torn.log"
     d = DiskKvs(path)
-    d.put(k(1), b"a" * 100)
+    d.batch_put([(k(1), b"a" * 100)])
     d.close()
     whole = path.stat().st_size
     with open(path, "r+b") as fh:  # a crash 30 bytes short of the end
         fh.truncate(whole - 30)
     d = DiskKvs(path)
-    with pytest.raises(KeyNotFoundError):
-        d.get(k(1))  # the torn record is gone, not returned short
+    with pytest.raises(BatchError):
+        d.batch_get([k(1)])  # the torn record is gone, not returned short
     assert path.stat().st_size == 0
-    d.put(k(2), b"b" * 10)  # lands on a record boundary
+    d.batch_put([(k(2), b"b" * 10)])  # lands on a record boundary
     d.close()
     d = DiskKvs(path)
-    assert d.get(k(2)) == b"b" * 10
-    with pytest.raises(KeyNotFoundError):
-        d.get(k(1))
+    assert d.batch_get([k(2)]) == [b"b" * 10]
+    with pytest.raises(BatchError):
+        d.batch_get([k(1)])
     d.close()
 
 
@@ -116,61 +103,50 @@ def test_disk_torn_header_is_cut_on_reopen(tmp_path):
     with open(path, "r+b") as fh:  # keep record 1 and half of record 2's header
         fh.truncate(8 + 4 + 3 + 6)
     d = DiskKvs(path)
-    assert d.get(k(1)) == b"one"
-    d.put(k(3), b"three")
+    assert d.batch_get([k(1)]) == [b"one"]
+    d.batch_put([(k(3), b"three")])
     d.close()
     d = DiskKvs(path)
     assert d.batch_get([k(1), k(3)]) == [b"one", b"three"]
-    with pytest.raises(KeyNotFoundError):
-        d.get(k(2))
+    with pytest.raises(BatchError):
+        d.batch_get([k(2)])
     d.close()
-
-
-def test_memory_clear_and_sizes():
-    m = MemoryKvs()
-    m.batch_put([(k(i), bytes(i)) for i in range(1, 5)])
-    assert len(m) == 4
-    assert m.total_bytes() == 1 + 2 + 3 + 4
-    m.clear()
-    assert len(m) == 0
 
 
 def test_counting_kvs_logical_bytes():
     c = CountingKvs(MemoryKvs())
-    c.put(k(1), b"x" * 100)          # up: 8 + 100
-    c.get(k(1))                      # up: 8, down: 100
+    c.batch_put([(k(1), b"x" * 100)])                    # up: 8 + 100
+    c.batch_get([k(1)])                                  # up: 8, down: 100
     c.batch_put([(k(2), b"y" * 10), (k(3), b"z" * 20)])  # up: 2*8 + 30
-    c.batch_get([k(2), k(3)])        # up: 16, down: 30
-    assert c.counters.roundtrips == 4
-    assert c.counters.bytes_up == 108 + 8 + 46 + 16
-    assert c.counters.bytes_down == 130
     snap = c.counters.snapshot()
-    c.counters.reset()
-    assert c.counters.roundtrips == 0
-    assert snap.roundtrips == 4
+    c.batch_get([k(2), k(3)])                            # up: 16, down: 30
+    with pytest.raises(BatchError):
+        c.batch_get([k(4)])                              # up: 8; a miss costs the trip
+    assert c.counters.roundtrips == 5
+    assert c.counters.bytes_up == 108 + 8 + 46 + 16 + 8
+    assert c.counters.bytes_down == 130
+    assert snap.roundtrips == 3
 
 
-def test_kvs_view_isolation():
+def test_bucket_key_namespaces():
+    assert bucket_key(7) == (7).to_bytes(8, "big")  # namespace 0 is the plain index
+    assert bucket_key(7, 1) == ((1 << 52) | 7).to_bytes(8, "big")
+    top = bucket_key(MAX_INDEX - 1, META_NAMESPACE)
+    assert top == ((1 << 64) - 1).to_bytes(8, "big")
     base = MemoryKvs()
-    a = KvsView(base, 1)
-    b = KvsView(base, 2)
-    ident = KvsView(base, 0)
-    a.put(k(7), b"A")
-    b.put(k(7), b"B")
-    ident.put(k(7), b"I")
-    assert a.get(k(7)) == b"A"
-    assert b.get(k(7)) == b"B"
-    assert base.get(k(7)) == b"I"  # namespace 0 is the identity mapping
-    assert len(base) == 3
+    base.batch_put([(bucket_key(7, ns), bytes([ns])) for ns in (0, 1, 2)])
+    assert base.batch_get([bucket_key(7, ns) for ns in (2, 1, 0)]) == [b"\x02", b"\x01", b"\x00"]
 
 
-def test_kvs_view_rejects_out_of_range():
-    base = MemoryKvs()
+def test_bucket_key_rejects_out_of_range():
     with pytest.raises(ParameterError):
-        KvsView(base, 1 << 12)
-    v = KvsView(base, 1)
+        bucket_key(0, META_NAMESPACE + 1)
     with pytest.raises(ParameterError):
-        v.put(((1 << 52)).to_bytes(8, "big"), b"x")
+        bucket_key(0, -1)
+    with pytest.raises(ParameterError):
+        bucket_key(MAX_INDEX, 1)
+    with pytest.raises(ParameterError):
+        bucket_key(-1)
 
 
 def test_parse_backend():
@@ -186,15 +162,30 @@ def test_connect_disk_needs_dir():
         connect("disk")
 
 
+@pytest.mark.parametrize("spec", ["remote=nohost", "remote=host:", "remote=host:port"])
+def test_connect_rejects_malformed_remote_spec(spec):
+    with pytest.raises(ParameterError):
+        connect(spec)
+
+
+def test_setup_rejects_malformed_remote_spec():
+    from shrouddb.data import Database, Record
+    from shrouddb.engine import EngineConfig, setup
+
+    db = Database([Record(0, 1, bytes(8))])
+    with pytest.raises(ParameterError):
+        setup(db, EngineConfig(domain=10, record_size=8), "remote=nohost", 1)
+
+
 # -- wire framing -----------------------------------------------------------
 
 def test_wire_frame_layout():
     a, b = socket.socketpair()
     try:
-        wire.send_request(a, wire.OP_PUT, b"payload")
+        wire.send_request(a, wire.OP_BATCH_PUT, b"payload")
         raw = b.recv(1024)
         # u32 big-endian length of (opcode + payload), then opcode, then payload
-        assert raw == struct.pack(">IB", 1 + 7, wire.OP_PUT) + b"payload"
+        assert raw == struct.pack(">IB", 1 + 7, wire.OP_BATCH_PUT) + b"payload"
     finally:
         a.close()
         b.close()
@@ -203,9 +194,9 @@ def test_wire_frame_layout():
 def test_wire_response_layout():
     a, b = socket.socketpair()
     try:
-        wire.send_response(a, wire.OP_GET, wire.ST_OK, b"val")
+        wire.send_response(a, wire.OP_BATCH_GET, wire.ST_OK, b"val")
         raw = b.recv(1024)
-        assert raw == struct.pack(">IBB", 2 + 3, 0x80 | wire.OP_GET, wire.ST_OK) + b"val"
+        assert raw == struct.pack(">IBB", 2 + 3, 0x80 | wire.OP_BATCH_GET, wire.ST_OK) + b"val"
     finally:
         a.close()
         b.close()
@@ -233,27 +224,68 @@ def test_wire_pack_pairs_roundtrip():
 
 
 def test_wire_opcode_set():
-    assert {wire.OP_GET, wire.OP_PUT, wire.OP_BATCH_GET, wire.OP_BATCH_PUT} == \
-        {0x01, 0x02, 0x03, 0x04}
+    assert {wire.OP_BATCH_GET, wire.OP_BATCH_PUT} == {0x03, 0x04}
 
 
 def test_server_missing_and_error_paths(server):
     host, port = server
     with socket.create_connection((host, port)) as s:
-        wire.send_request(s, wire.OP_GET, k(42))
-        status, payload = wire.read_response(s, wire.OP_GET)
+        wire.send_request(s, wire.OP_BATCH_PUT, wire.pack_pairs([(k(1), b"v")]))
+        assert wire.read_response(s, wire.OP_BATCH_PUT) == (wire.ST_OK, b"")
+        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_keys([k(1), k(42), k(43)]))
+        status, payload = wire.read_response(s, wire.OP_BATCH_GET)
         assert status == wire.ST_MISSING
-        assert payload == k(42)
-        # unknown opcode answers an error frame without dropping the link
-        wire.send_request(s, 0x7F, b"")
-        length = wire.recv_exact(s, 4)
-        frame = wire.recv_exact(s, struct.unpack(">I", length)[0])
-        assert frame[0] == 0x80 | 0x7F
-        assert frame[1] == wire.ST_ERROR
+        assert wire.unpack_keys(payload) == [k(42), k(43)]
+        # unknown opcodes, the retired single-key 0x01 and 0x02 among them,
+        # answer an error frame without dropping the link
+        for op in (0x01, 0x02, 0x7F):
+            wire.send_request(s, op, k(1))
+            length = wire.recv_exact(s, 4)
+            frame = wire.recv_exact(s, struct.unpack(">I", length)[0])
+            assert frame[0] == 0x80 | op
+            assert frame[1] == wire.ST_ERROR
+            assert b"unknown opcode" in frame[2:]
+        # an empty batch is an error too
+        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_keys([]))
+        assert wire.read_response(s, wire.OP_BATCH_GET)[0] == wire.ST_ERROR
         # connection still usable
-        wire.send_request(s, wire.OP_PUT, k(1) + b"v")
-        status, _ = wire.read_response(s, wire.OP_PUT)
-        assert status == wire.ST_OK
+        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_keys([k(1)]))
+        status, payload = wire.read_response(s, wire.OP_BATCH_GET)
+        assert (status, wire.unpack_values(payload)) == (wire.ST_OK, [b"v"])
+
+
+def _fake_server(reply: bytes):
+    """A one-shot server that answers the first request with ``reply``
+    as an OK batch_get payload; returns (host, port, thread)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, listener:
+            op, _ = wire.read_request(conn)
+            wire.send_response(conn, op, wire.ST_OK, reply)
+            conn.recv(1)  # hold the link until the client closes
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    return host, port, t
+
+
+@pytest.mark.parametrize("reply", [
+    struct.pack(">I", 2) + b"\x00\x05",                  # two values promised, 2 bytes sent
+    struct.pack(">II", 1, 99) + b"short",                # a value length past the end
+    wire.pack_values([b"a", b"b"]),                      # well formed, one value too many
+], ids=["truncated-header", "length-past-end", "count-mismatch"])
+def test_malformed_remote_response_is_a_storage_error(reply):
+    host, port, t = _fake_server(reply)
+    kvs = RemoteKvs(host, port)
+    try:
+        with pytest.raises(StorageError, match="malformed response"):
+            kvs.batch_get([k(1)])
+    finally:
+        kvs.close()
+        t.join(timeout=10)
 
 
 def test_remote_concurrent_connections(server):
