@@ -59,5 +59,7 @@ def partition_of(key: SymKey, record_id: int, m: int) -> int:
     """Hash a record ID into a store index in [1, m]."""
     if m < 1:
         raise ParameterError("partition count must be >= 1")
+    if m == 1:  # x % 1 + 1 for any digest x; no need to compute it
+        return 1
     digest = prf(key, record_id.to_bytes(8, "big"))
     return int.from_bytes(digest, "big") % m + 1

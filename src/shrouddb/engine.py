@@ -17,6 +17,12 @@ Three volume modes:
   records and fetches its own noisy count (budgets compose by max
   since the partitions are disjoint).
 
+Setup places each partition's records in its ORAM tree on the client
+and uploads the tree once (``oram_init`` with the records as its
+initial blocks); there is no bulk load through the access protocol.
+With no seed, keys and all randomness come from OS entropy; a seed
+makes the whole deployment replay exactly.
+
 Storage: ORAM j keeps its buckets under key namespace ``j - 1`` and
 the serialized sanitizers go under ``META_NAMESPACE``, one
 ``batch_put`` per attribute. Each touched ORAM costs a query one
@@ -40,8 +46,8 @@ from shrouddb.errors import (
     ParameterError,
     QueryError,
 )
-from shrouddb.oram import OramConfig, OramState, oram_init, read_op, write_op
-from shrouddb.rng import derive_stream
+from shrouddb.oram import OramConfig, OramState, oram_init, read_op
+from shrouddb.rng import derive_stream, system_rng
 from shrouddb.storage import (
     META_NAMESPACE,
     CountingKvs,
@@ -66,7 +72,6 @@ MODES = ("single", "gamma", "no-gamma")
 
 RID_SIZE = 8
 KEY_SIZE = 8
-BULK_CHUNK = 1 << 16
 
 
 def compute_gamma(m: int, beta: float, k0: int) -> float:
@@ -149,7 +154,7 @@ class EngineState:
     sanitizers: dict[str, list]              # attr -> [shared] or [per-ORAM...]
     budgets: dict[str, float]
     noise_rngs: list[random.Random]
-    seed: int
+    seed: int | None
     meta_store: Kvs
     owned_stores: list[Kvs] = field(default_factory=list)
     _pool: ThreadPoolExecutor | None = None
@@ -212,10 +217,19 @@ def _open_stores(config: EngineConfig, storage, data_dir):
     return [shared] * config.m, shared, [shared]
 
 
-def setup(db: Database, config: EngineConfig, storage, seed: int,
+def _stream(seed: int | None, label: str) -> random.Random:
+    """The ``label`` stream of a seeded deployment; OS entropy without a seed."""
+    return system_rng() if seed is None else derive_stream(seed, label)
+
+
+def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
           data_dir=None) -> EngineState:
     """Partition, encrypt and upload the database; build sanitizers and
-    the local index. All randomness derives from ``seed``."""
+    the local index. Each ORAM tree is built on the client, already
+    holding its records, and written once.
+
+    Keys and all randomness derive from ``seed``, so a seeded setup
+    replays exactly; with ``seed=None`` they come from OS entropy."""
     for r in db.records:
         if len(r.payload) != config.record_size:
             raise DataError(f"record {r.rid} payload is {len(r.payload)} bytes, "
@@ -224,7 +238,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int,
             raise DataError(f"record {r.rid} key {r.key} outside [0, {config.domain})")
 
     m = config.m
-    hash_key = keygen(config.lambda_sec, derive_stream(seed, "key:hash"))
+    hash_key = keygen(config.lambda_sec, _stream(seed, "key:hash"))
     groups: list[list[Record]] = [[] for _ in range(m)]
     addr_of: dict[int, tuple[int, int]] = {}
     for r in db.records:
@@ -234,33 +248,32 @@ def setup(db: Database, config: EngineConfig, storage, seed: int,
     n_per = [len(g) for g in groups]
 
     oram_stores, meta_store, owned = _open_stores(config, storage, data_dir)
-    counters = []
-    orams: list[OramState] = []
-    block_payload = RID_SIZE + KEY_SIZE + config.record_size
-    for j in range(1, m + 1):
-        counting = CountingKvs(oram_stores[j - 1])
-        counters.append(counting.counters)
-        oram_key = keygen(config.lambda_sec, derive_stream(seed, f"key:oram:{j}"))
-        oram_rng = derive_stream(seed, f"oram:{j}")
-        cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload,
-                         Z=config.Z)
-        st = oram_init(cfg, oram_key, counting, oram_rng, namespace=j - 1)
-        orams.append(st)
-        records = groups[j - 1]
-        for lo in range(0, len(records), BULK_CHUNK):
-            chunk = records[lo:lo + BULK_CHUNK]
-            st.batch_access([write_op(addr_of[r.rid][1], _block(r.rid, r.key, r.payload))
-                             for r in chunk])
-
     state = EngineState(
         config=config, db=db, padded_domain=_pad_domain(config.domain, config.fanout),
-        hash_key=hash_key, orams=orams, counters=counters, addr_of=addr_of,
+        hash_key=hash_key, orams=[], counters=[], addr_of=addr_of,
         n_per=n_per, indexes={}, sanitizers={}, budgets={},
-        noise_rngs=[derive_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
+        noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
         seed=seed, meta_store=meta_store, owned_stores=owned,
         _pool=ThreadPoolExecutor(max_workers=m) if m > 1 else None,
     )
-    _install_attribute(state, "key", config.epsilon)
+    block_payload = RID_SIZE + KEY_SIZE + config.record_size
+    try:
+        for j in range(1, m + 1):
+            counting = CountingKvs(oram_stores[j - 1])
+            state.counters.append(counting.counters)
+            oram_key = keygen(config.lambda_sec, _stream(seed, f"key:oram:{j}"))
+            oram_rng = _stream(seed, f"oram:{j}")
+            cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload,
+                             Z=config.Z)
+            # a record's address is its place in its partition (see addr_of)
+            blocks = [(addr, _block(r.rid, r.key, r.payload))
+                      for addr, r in enumerate(groups[j - 1])]
+            state.orams.append(oram_init(cfg, oram_key, counting, oram_rng,
+                                         namespace=j - 1, blocks=blocks))
+        _install_attribute(state, "key", config.epsilon)
+    except BaseException:
+        state.close()  # a failed setup keeps no connection, file or thread open
+        raise
     return state
 
 
@@ -280,11 +293,11 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
         for j in range(1, config.m + 1):
             keys = [column[i] for i, r in enumerate(state.db.records)
                     if state.addr_of[r.rid][0] == j]
-            rng = derive_stream(state.seed, f"sanitizer:{attribute}:{j}")
+            rng = _stream(state.seed, f"sanitizer:{attribute}:{j}")
             group.append(sanitizer.build_range_sanitizer(
                 keys, N, k, epsilon, config.beta, rng))
     else:
-        rng = derive_stream(state.seed, f"sanitizer:{attribute}:0")
+        rng = _stream(state.seed, f"sanitizer:{attribute}:0")
         group = [sanitizer.build_range_sanitizer(
             column, N, k, epsilon, config.beta, rng)]
     state.sanitizers[attribute] = group

@@ -13,6 +13,11 @@ server observes nothing but uniformly random path reads.
 ``batch_access`` combines many accesses into exactly one multi-path
 read plus one multi-path write-back (two storage round trips), with all
 mixing and re-encryption done in client memory.
+
+``oram_init`` builds the starting tree on the client: it places the
+initial blocks by the same greedy rule over every bucket, keeps any
+that do not fit in the stash, and uploads each bucket sealed once. That
+meets the invariant above, so no access is needed to load the data.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +231,22 @@ class OramState:
             self.pos[op.addr] = self._draw_leaf()
 
         new_stash, placed = self._evict(bucket_ids)
+        pairs = self._seal(bucket_ids, placed)
+        try:
+            self.store.batch_put(pairs)
+        except StorageError as exc:
+            self.stash = stash_snapshot
+            for a, leaf in pos_snapshot:
+                self.pos[a] = leaf
+            raise BatchError(f"write-back failed, state rolled back: {exc}") from exc
+
+        self._keep_stash(new_stash)
+        return results
+
+    def _seal(self, bucket_ids: list[int],
+              placed: dict[int, list[tuple[int, bytes]]]) -> list[tuple[bytes, bytes]]:
+        """``(key, value)`` pairs of the given buckets, each holding its
+        placed blocks padded with dummies and sealed under a fresh nonce."""
         parts: list[bytes] = []
         for bid in bucket_ids:
             blocks = placed.get(bid, ())
@@ -235,15 +257,11 @@ class OramState:
         n = len(bucket_ids)
         sealed = seal_slots(self.key.data, b"".join(parts), fresh_nonces(n), n,
                             self.bucket_plain)
-        pairs = list(zip([self._bucket_keys[b] for b in bucket_ids], sealed))
-        try:
-            self.store.batch_put(pairs)
-        except StorageError as exc:
-            self.stash = stash_snapshot
-            for a, leaf in pos_snapshot:
-                self.pos[a] = leaf
-            raise BatchError(f"write-back failed, state rolled back: {exc}") from exc
+        return list(zip([self._bucket_keys[b] for b in bucket_ids], sealed))
 
+    def _keep_stash(self, new_stash: dict[int, bytes]) -> None:
+        """Adopt the stash left after a write-back; refuse further access
+        once it holds more than ``stash_limit`` blocks."""
         self.stash = new_stash
         if len(new_stash) > self.stash_peak:
             self.stash_peak = len(new_stash)
@@ -251,7 +269,6 @@ class OramState:
             self.overflowed = True
             raise StashOverflowError(
                 f"stash holds {len(new_stash)} blocks, limit {self.stash_limit}")
-        return results
 
     def _evict(self, bucket_ids: list[int]):
         """Greedy write-back: fill fetched buckets deepest-first, each
@@ -314,23 +331,40 @@ class OramState:
 
 
 def oram_init(config: OramConfig, key: SymKey, store: Kvs,
-              rng: random.Random, namespace: int = 0) -> OramState:
-    """Populate empty storage with encrypted dummies and build the client.
+              rng: random.Random, namespace: int = 0,
+              blocks: Iterable[tuple[int, bytes]] = ()) -> OramState:
+    """Build the client and upload a tree that already holds ``blocks``.
 
-    Probes the root bucket with a one-key batch read, which must miss;
-    then writes all ``2^(L+1) - 1`` buckets, each ``Z`` dummy slots
-    sealed under a fresh nonce, in one batch; draws a uniform position
-    map.
+    ``blocks`` are the initial ``(address, payload)`` pairs; they are
+    checked before storage is touched. Probes the root bucket with a
+    one-key batch read, which must miss. Then places every block on the
+    path to its position (drawn with the rest of the position map) by
+    the greedy rule of a write-back over all buckets, and writes all
+    ``2^(L+1) - 1`` buckets, each sealed once under a fresh nonce, in
+    one batch. Blocks that fit nowhere stay in the stash; more than
+    ``stash_limit`` of them raise ``StashOverflowError`` after the
+    upload, as a write-back does.
     """
     state = OramState(config, key, store, rng, namespace)
+    initial: dict[int, bytes] = {}
+    for addr, data in blocks:
+        if not 0 <= addr < config.capacity:
+            raise AddressError(f"address {addr} outside [0, {config.capacity})")
+        if len(data) != config.block_payload:
+            raise ParameterError(f"block {addr} is {len(data)} bytes, "
+                                 f"block payload is {config.block_payload}")
+        if addr in initial:
+            raise ParameterError(f"address {addr} given twice")
+        initial[addr] = data
     try:
         store.batch_get(state._bucket_keys[:1])
     except BatchError:
         pass
     else:
         raise StorageNotEmptyError("storage already holds a bucket tree; clear it first")
-    n = state.n_buckets
-    sealed = seal_slots(key.data, state._dummy_body * (n * config.Z), fresh_nonces(n), n,
-                        state.bucket_plain)
-    store.batch_put(list(zip(state._bucket_keys, sealed)))
+    state.stash = initial
+    every = list(range(state.n_buckets))
+    new_stash, placed = state._evict(every)
+    store.batch_put(state._seal(every, placed))
+    state._keep_stash(new_stash)
     return state

@@ -116,10 +116,29 @@ class SanitizerParams:
     beta: float
 
 
-def _round_clamp(x: float) -> tuple[int, bool]:
-    """Round half away from zero, clamp at zero; flags a clamp."""
-    r = math.floor(x + 0.5) if x >= 0.0 else math.ceil(x - 0.5)
-    return (0, True) if r < 0 else (r, False)
+def _uniforms(n: int, rng: random.Random) -> np.ndarray:
+    """The ``n`` uniforms that ``n`` calls of ``laplace_sample`` would use:
+    the first ``n`` nonzero draws of ``rng.random()``."""
+    draw = rng.random
+    us = [u for u in [draw() for _ in range(n)] if u != 0.0]
+    while len(us) < n:  # a zero was drawn; take its redraw at the end
+        u = draw()
+        if u != 0.0:
+            us.append(u)
+    return np.array(us, dtype=np.float64)
+
+
+def _noisy_counts(true: np.ndarray, alpha: int, scale: float,
+                  rng: random.Random) -> tuple[list[int], int]:
+    """``laplace_sample(c + alpha, scale, rng)`` for each count ``c`` in
+    order, rounded half away from zero and clamped at zero, as one array
+    computation; returns the counters and how many were clamped."""
+    d = _uniforms(len(true), rng) - 0.5
+    mean = true.astype(np.float64) + alpha
+    x = mean - scale * np.copysign(1.0, d) * np.log(1.0 - 2.0 * np.abs(d))
+    r = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    low = r < 0.0
+    return np.where(low, 0.0, r).astype(np.int64).tolist(), int(low.sum())
 
 
 class PointHistogram:
@@ -171,13 +190,7 @@ def build_point_sanitizer(keys: list[int], N: int, epsilon: float, beta: float,
         if not 0 <= v < N:
             raise DataError(f"key {v} outside domain [0, {N})")
     true = np.bincount(keys, minlength=N) if keys else np.zeros(N, dtype=np.int64)
-    scale = 1.0 / epsilon
-    bins: list[int] = []
-    clamped = 0
-    for c in true.tolist():
-        v, hit = _round_clamp(laplace_sample(c + alpha, scale, rng))
-        bins.append(v)
-        clamped += hit
+    bins, clamped = _noisy_counts(true, alpha, 1.0 / epsilon, rng)
     return PointHistogram(SanitizerParams(N, 0, alpha, epsilon, beta), bins, clamped)
 
 
@@ -197,14 +210,7 @@ def build_range_sanitizer(keys: list[int], N: int, k: int, epsilon: float,
     for _ in range(h):
         levels.append(levels[-1].reshape(-1, k).sum(axis=1))
     levels.reverse()  # root level first
-    scale = h / epsilon
-    counts: list[int] = []
-    clamped = 0
-    for level in levels:
-        for c in level.tolist():
-            v, hit = _round_clamp(laplace_sample(c + alpha, scale, rng))
-            counts.append(v)
-            clamped += hit
+    counts, clamped = _noisy_counts(np.concatenate(levels), alpha, h / epsilon, rng)
     return AggregateTree(SanitizerParams(N, k, alpha, epsilon, beta), counts, clamped)
 
 

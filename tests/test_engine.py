@@ -20,8 +20,10 @@ from shrouddb.errors import (
     DataError,
     ParameterError,
     QueryError,
+    StorageClosedError,
+    StorageNotEmptyError,
 )
-from shrouddb.storage import INDEX_BITS, Kvs, MemoryKvs
+from shrouddb.storage import INDEX_BITS, Kvs, MemoryKvs, bucket_key
 
 LN2 = math.log(2)
 
@@ -86,6 +88,26 @@ def test_setup_validates_records():
         setup(Database([Record(0, 5, b"short")]), config(), MemoryKvs(), 1)
     with pytest.raises(DataError):
         setup(Database([Record(0, 100, bytes(24))]), config(), MemoryKvs(), 1)
+
+
+def test_failed_setup_closes_what_it_opened(tmp_path, monkeypatch):
+    from shrouddb import engine
+
+    db = small_db()
+    setup(db, config(m=2), "disk", 1, data_dir=tmp_path).close()
+    opened = []
+
+    def connect(*args):
+        opened.append(real(*args))
+        return opened[-1]
+
+    real = engine.connect
+    monkeypatch.setattr(engine, "connect", connect)
+    with pytest.raises(StorageNotEmptyError):  # the first run's tree is still there
+        setup(db, config(m=2), "disk", 1, data_dir=tmp_path)
+    (store,) = opened
+    with pytest.raises(StorageClosedError):
+        store.batch_get([bucket_key(0)])
 
 
 # -- correctness across modes ----------------------------------------------------
@@ -186,6 +208,23 @@ def test_determinism_under_seed():
             state.close()
 
     assert run() == run()
+
+
+def test_seedless_setups_draw_fresh_keys():
+    records = small_db().records
+    db = Database(records, {"aux": [r.key // 2 for r in records]})
+    states = [setup(db, config(m=2, budget=2 * LN2), MemoryKvs()) for _ in range(2)]
+    try:
+        a, b = states
+        assert a.seed is None and a.hash_key != b.hash_key
+        assert all(x.key != y.key for x, y in zip(a.orams, b.orams))
+        for st in states:
+            register_attribute(st, "aux", LN2)
+            for q in (range_query(20, 45), range_query(10, 22, "aux")):
+                assert [r.rid for r in query(st, q).records] == expected(db, q)
+    finally:
+        for st in states:
+            st.close()
 
 
 # -- failure policy ----------------------------------------------------------------
@@ -412,12 +451,15 @@ def test_setup_server_view_is_one_probe_and_one_put_per_attribute():
     try:
         log = kvs.take()
         for ns in (0, 1):
-            # a one-key read of the root that must miss, then the whole tree
-            # in one upload, before the bulk load's read and write-back
+            # a one-key read of the root that must miss, then the whole tree,
+            # records already placed, in one upload; nothing else
+            st = state.orams[ns]
+            assert len(log[ns]) == 2
             assert log[ns][0] == ("batch_get", ((bucket_key(0, ns), None),))
             op, pairs = log[ns][1]
-            assert op == "batch_put" and len(pairs) == state.orams[ns].n_buckets
-            assert [op for op, _ in log[ns][2:]] == ["batch_get", "batch_put"]
+            assert op == "batch_put"
+            assert [k for k, _ in pairs] == [bucket_key(i, ns) for i in range(st.n_buckets)]
+            assert {size for _, size in pairs} == {st.bucket_bytes}
         meta = log[META_NAMESPACE]
         assert [(op, [k for k, _ in pairs]) for op, pairs in meta] == \
             [("batch_put", [bucket_key(0, META_NAMESPACE), bucket_key(1, META_NAMESPACE)])]

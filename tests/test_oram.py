@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shrouddb import oram
 from shrouddb.crypto import keygen
 from shrouddb.errors import (
     AddressError,
@@ -27,11 +28,11 @@ from shrouddb.oram import (
 from shrouddb.storage import CountingKvs, MemoryKvs, bucket_key
 
 
-def make(capacity=32, payload=16, seed=7, Z=5, store=None, **kw):
+def make(capacity=32, payload=16, seed=7, Z=5, store=None, blocks=(), **kw):
     rng = random.Random(seed)
     key = keygen(128, rng)
     return oram_init(OramConfig(capacity=capacity, block_payload=payload, Z=Z, **kw),
-                     key, store if store is not None else MemoryKvs(), rng)
+                     key, store if store is not None else MemoryKvs(), rng, blocks=blocks)
 
 
 # -- geometry ---------------------------------------------------------------
@@ -55,6 +56,64 @@ def test_init_writes_full_dummy_tree():
     assert kvs.counters.roundtrips == 2  # one-key emptiness probe + one batch upload
     assert kvs.counters.bytes_up == 8 + 7 * (8 + st.bucket_bytes)
     assert st.tree_blocks() == {}  # 35 slots, all dummies
+
+
+def test_init_places_blocks_on_their_paths():
+    payload = 12
+    r = random.Random(11)
+    blocks = [(a, r.randbytes(payload)) for a in r.sample(range(400), 300)]
+    st = make(capacity=400, payload=payload, Z=4, blocks=blocks)
+    tree = st.tree_blocks()
+    assert not set(tree) & set(st.stash)
+    assert sorted(list(tree) + list(st.stash)) == sorted(a for a, _ in blocks)
+    for addr, bid in tree.items():
+        d = (bid + 1).bit_length() - 1
+        assert st.pos[addr] >> (st.L - d) == bid - ((1 << d) - 1)
+    assert len(st.stash) <= st.stash_limit
+    for addr, data in blocks:
+        assert st.access(read_op(addr)) == data
+    assert st.access(read_op(next(a for a in range(400) if a not in dict(blocks)))) \
+        == bytes(payload)
+
+
+def test_init_overflow_refuses_later_access(monkeypatch):
+    class LeafZero(random.Random):
+        def randrange(self, *args):
+            return 0
+
+    made = []
+
+    class Recorded(oram.OramState):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(oram, "OramState", Recorded)
+    kvs = CountingKvs(MemoryKvs())
+    cfg = OramConfig(capacity=16, block_payload=4, Z=1, stash_limit=1)
+    # every block on leaf 0, whose path holds L + 1 = 5 of the 16
+    with pytest.raises(StashOverflowError):
+        oram_init(cfg, keygen(128, random.Random(1)), kvs, LeafZero(),
+                  blocks=[(a, bytes(4)) for a in range(16)])
+    (st,) = made
+    assert st.overflowed and len(st.stash) == 16 - (st.L + 1)
+    before = kvs.counters.snapshot()
+    with pytest.raises(StashOverflowError):
+        st.access(read_op(0))
+    assert kvs.counters.snapshot() == before
+
+
+@pytest.mark.parametrize("blocks, error", [
+    ([(0, b"abcd"), (16, b"abcd")], AddressError),
+    ([(-1, b"abcd")], AddressError),
+    ([(0, b"abcd"), (1, b"abc")], ParameterError),
+    ([(3, b"abcd"), (5, b"abcd"), (3, b"efgh")], ParameterError),
+])
+def test_init_validates_blocks_before_storage(blocks, error):
+    kvs = CountingKvs(MemoryKvs())
+    with pytest.raises(error):
+        make(capacity=16, payload=4, store=kvs, blocks=blocks)
+    assert kvs.counters.roundtrips == 0
 
 
 def test_init_refuses_nonempty_storage():

@@ -174,6 +174,69 @@ def test_clamp_counter():
     assert 0 < clamped < 200  # some draws clamp, not all
 
 
+class ZeroOnceRng(random.Random):
+    """A seeded stream whose ``at``-th ``random()`` call returns 0.0."""
+
+    def __init__(self, seed, at):
+        super().__init__(seed)
+        self.calls, self.at = 0, at
+
+    def random(self):
+        self.calls += 1
+        return 0.0 if self.calls == self.at else super().random()
+
+
+def reference_noisy(true_counts, alpha, scale, rng):
+    """The per-counter loop: one ``laplace_sample`` per counter in order,
+    rounded half away from zero, clamped at zero."""
+    out, clamped = [], 0
+    for c in true_counts:
+        x = laplace_sample(c + alpha, scale, rng)
+        r = math.floor(x + 0.5) if x >= 0.0 else math.ceil(x - 0.5)
+        out.append(max(r, 0))
+        clamped += r < 0
+    return out, clamped
+
+
+def bfs_counts(keys, N, k):
+    levels = [[sum(1 for v in keys if v == i) for i in range(N)]]
+    while len(levels[0]) > 1:
+        below = levels[0]
+        levels.insert(0, [sum(below[i:i + k]) for i in range(0, len(below), k)])
+    return [c for level in levels for c in level]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("zero_at", [None, 1, 17])
+def test_builders_match_per_counter_reference(seed, zero_at):
+    def rng():
+        return random.Random(seed) if zero_at is None else ZeroOnceRng(seed, zero_at)
+
+    r = random.Random(100 + seed)
+    N, k = 16, 2
+    beta = 1.0 - 1e-10  # zero bias at this size, so empty counters clamp often
+    keys = [r.randrange(N) for _ in range(10)]
+
+    tr = build_range_sanitizer(keys, N, k, LN2, beta, rng())
+    assert tr.params.alpha == 0 and tr.clamped > 0
+    assert (tr.counts, tr.clamped) == reference_noisy(
+        bfs_counts(keys, N, k), 0, tr.height / LN2, rng())
+
+    ph = build_point_sanitizer(keys, N, LN2, beta, rng())
+    assert ph.params.alpha == 0 and ph.clamped > 0
+    assert (ph.bins, ph.clamped) == reference_noisy(
+        [keys.count(v) for v in range(N)], 0, 1 / LN2, rng())
+
+
+def test_builders_match_reference_with_bias():
+    r = random.Random(3)
+    keys = [r.randrange(256) for _ in range(500)]
+    tr = build_range_sanitizer(keys, 256, 4, LN2, 2.0 ** -20, random.Random(8))
+    assert tr.params.alpha > 0
+    assert (tr.counts, tr.clamped) == reference_noisy(
+        bfs_counts(keys, 256, 4), tr.params.alpha, tr.height / LN2, random.Random(8))
+
+
 # -- canonical cover ----------------------------------------------------------
 
 def test_cover_worked_example():
