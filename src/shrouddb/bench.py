@@ -68,7 +68,6 @@ class ExperimentSpec:
     epsilon: float = math.log(2)
     beta: float = 2.0 ** -20
     fanout: int = 16
-    index_fanout: int = 200
     storage: str = "memory"
     seed: int = 0
     distribution: str = "uniform"
@@ -322,7 +321,7 @@ def run_experiment(spec: ExperimentSpec, clock=None, dataset: str | None = None,
     config = EngineConfig(
         domain=spec.domain, record_size=spec.record_size, m=spec.m,
         mode=spec.mode, epsilon=spec.epsilon, beta=spec.beta,
-        fanout=spec.fanout, index_fanout=spec.index_fanout)
+        fanout=spec.fanout)
     state = setup(db, config, spec.storage, spec.seed, data_dir)
     try:
         rows: list[dict] = []
@@ -345,14 +344,14 @@ def run_experiment(spec: ExperimentSpec, clock=None, dataset: str | None = None,
 def _run_scan(spec: ExperimentSpec, db: Database, qs: list[Query], clock,
               data_dir) -> ExperimentResult:
     """Baseline: every query downloads all records and filters locally."""
-    key = keygen(128, derive_stream(spec.seed, "scan"))
+    cipher = slots.cipher(keygen(128, derive_stream(spec.seed, "scan")).data)
     store = CountingKvs(connect(spec.storage, data_dir))
     counters = store.counters
     body = 16 + spec.record_size  # rid, key, payload
     try:
         plain = b"".join(r.rid.to_bytes(8, "big") + r.key.to_bytes(8, "big") + r.payload
                          for r in db.records)
-        sealed = slots.seal_slots(key.data, plain, slots.fresh_nonces(len(db)),
+        sealed = slots.seal_slots(cipher, plain, slots.fresh_nonces(len(db)),
                                   len(db), body)
         all_keys = [bucket_key(i) for i in range(len(db))]
         store.batch_put(list(zip(all_keys, sealed)))
@@ -364,7 +363,7 @@ def _run_scan(spec: ExperimentSpec, db: Database, qs: list[Query], clock,
             t0 = clock()
             before = counters.snapshot()
             blobs = store.batch_get(all_keys)
-            opened = slots.open_slots(key.data, blobs, len(db), body)
+            opened = slots.open_slots(cipher, blobs, len(db), body)
             hits: list[Record] = []
             for j in range(len(db)):
                 off = j * body

@@ -36,7 +36,6 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--beta", type=float, default=2.0 ** -20,
                    help="allowed failure probability")
     p.add_argument("--fanout", type=int, default=16, help="sanitizer tree fanout")
-    p.add_argument("--index-fanout", type=int, default=200)
     p.add_argument("--orams", type=int, default=1, help="number of ORAM partitions")
     p.add_argument("--storage", default="memory",
                    help="memory, disk, or remote=HOST:PORT")
@@ -89,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n=args.n, domain=args.domain, record_size=args.record_size,
         selectivity=args.selectivity, queries=args.queries, mode=args.mode,
         m=args.orams, epsilon=args.epsilon, beta=args.beta, fanout=args.fanout,
-        index_fanout=args.index_fanout, storage=args.storage, seed=args.seed,
+        storage=args.storage, seed=args.seed,
         distribution=args.distribution, histogram_file=args.histogram_file,
         query_sampling=args.query_sampling, query_kind=args.query_kind)
     clock = bench.FixedClock() if args.fixed_clock else time.perf_counter

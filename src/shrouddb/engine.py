@@ -1,7 +1,8 @@
 """Query engine: partitioned ORAM stores behind a DP volume shield.
 
 Records are split pseudorandomly across ``m`` independent ORAMs. A
-query resolves matching record ids through a local index, asks a DP
+query resolves matching records to ORAM addresses through a local
+sorted-array index and two placement arrays, asks a DP
 sanitizer for a noisy overcount, and pads each ORAM's fetch list with
 reads of random non-matching records up to its share of the noisy
 count, so the storage server observes only uniform path reads and a
@@ -36,6 +37,8 @@ import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from shrouddb import bptree, sanitizer
 from shrouddb.crypto import SymKey, keygen, partition_of
@@ -97,7 +100,6 @@ class EngineConfig:
     epsilon: float = math.log(2)
     beta: float = 2.0 ** -20
     fanout: int = 16
-    index_fanout: int = 200
     lambda_sec: int = 128
     Z: int = 5
     budget: float | None = None
@@ -140,7 +142,12 @@ class QueryResult:
 
 @dataclass
 class EngineState:
-    """Client-side state: keys, maps, stashes, sanitizers, index."""
+    """Client-side state: keys, maps, stashes, sanitizers, index.
+
+    ``oram_of`` and ``addr`` are aligned with ``db.records``: record
+    ``i`` lives in ORAM ``oram_of[i]`` (1..m) at address ``addr[i]``,
+    its place within that partition.
+    """
 
     config: EngineConfig
     db: Database
@@ -148,9 +155,10 @@ class EngineState:
     hash_key: SymKey
     orams: list[OramState]
     counters: list
-    addr_of: dict[int, tuple[int, int]]      # rid -> (oram id, address)
+    oram_of: np.ndarray                      # record position -> ORAM id
+    addr: np.ndarray                         # record position -> address
     n_per: list[int]                         # records per ORAM
-    indexes: dict[str, bptree.BPlusTree]
+    indexes: dict[str, bptree.SortedIndex]
     sanitizers: dict[str, list]              # attr -> [shared] or [per-ORAM...]
     budgets: dict[str, float]
     noise_rngs: list[random.Random]
@@ -240,17 +248,20 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     m = config.m
     hash_key = keygen(config.lambda_sec, _stream(seed, "key:hash"))
     groups: list[list[Record]] = [[] for _ in range(m)]
-    addr_of: dict[int, tuple[int, int]] = {}
+    oram_of: list[int] = []
+    addr: list[int] = []
     for r in db.records:
         j = partition_of(hash_key, r.rid, m)
-        addr_of[r.rid] = (j, len(groups[j - 1]))
+        oram_of.append(j)
+        addr.append(len(groups[j - 1]))  # a record's address is its place in its partition
         groups[j - 1].append(r)
     n_per = [len(g) for g in groups]
 
     oram_stores, meta_store, owned = _open_stores(config, storage, data_dir)
     state = EngineState(
         config=config, db=db, padded_domain=_pad_domain(config.domain, config.fanout),
-        hash_key=hash_key, orams=[], counters=[], addr_of=addr_of,
+        hash_key=hash_key, orams=[], counters=[],
+        oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
         n_per=n_per, indexes={}, sanitizers={}, budgets={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
         seed=seed, meta_store=meta_store, owned_stores=owned,
@@ -265,9 +276,8 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
             oram_rng = _stream(seed, f"oram:{j}")
             cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload,
                              Z=config.Z)
-            # a record's address is its place in its partition (see addr_of)
-            blocks = [(addr, _block(r.rid, r.key, r.payload))
-                      for addr, r in enumerate(groups[j - 1])]
+            blocks = [(a, _block(r.rid, r.key, r.payload))
+                      for a, r in enumerate(groups[j - 1])]
             state.orams.append(oram_init(cfg, oram_key, counting, oram_rng,
                                          namespace=j - 1, blocks=blocks))
         _install_attribute(state, "key", config.epsilon)
@@ -284,15 +294,14 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
         if not 0 <= v < config.domain:
             raise DataError(f"column {attribute!r} value {v} outside "
                             f"[0, {config.domain})")
-    state.indexes[attribute] = bptree.create_index(
-        state.db, state.addr_of, attribute, config.index_fanout)
+    state.indexes[attribute] = bptree.create_index(column)
 
     N, k = state.padded_domain, config.fanout
     if config.mode == "no-gamma":
         group = []
+        values = np.asarray(column)
         for j in range(1, config.m + 1):
-            keys = [column[i] for i, r in enumerate(state.db.records)
-                    if state.addr_of[r.rid][0] == j]
+            keys = values[state.oram_of == j].tolist()
             rng = _stream(state.seed, f"sanitizer:{attribute}:{j}")
             group.append(sanitizer.build_range_sanitizer(
                 keys, N, k, epsilon, config.beta, rng))
@@ -377,12 +386,18 @@ def _query(state: EngineState, q: Query) -> QueryResult:
     if not 0 <= q.a <= q.b < config.domain:
         raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {config.domain})")
 
-    locators = bptree.lookup(state.indexes[q.attribute], q)
-    groups = bptree.group_by_oram(locators, config.m)
-    t_rids = [sorted(groups[j]) for j in range(1, config.m + 1)]
+    m = config.m
+    records = state.db.records
+    # matching record positions in rid order, the order each ORAM's read plan lists them
+    pos = sorted(bptree.lookup(state.indexes[q.attribute], q).tolist(),
+                 key=lambda i: records[i].rid)
+    t_pos: list[list[int]] = [[] for _ in range(m)]
+    t_addrs: list[list[int]] = [[] for _ in range(m)]
+    for i, j, a in zip(pos, state.oram_of[pos].tolist(), state.addr[pos].tolist()):
+        t_pos[j - 1].append(i)
+        t_addrs[j - 1].append(a)
     dss = state.sanitizers[q.attribute]
 
-    m = config.m
     failed = False
     quotas: list[int] = []
     if config.mode == "no-gamma":
@@ -401,14 +416,13 @@ def _query(state: EngineState, q: Query) -> QueryResult:
 
     plans: list[list[int]] = []
     for j in range(m):
-        n_j = state.n_per[j]
-        t_addrs = [state.addr_of[rid][1] for rid in t_rids[j]]
-        if quotas[j] < len(t_addrs):
+        t = t_addrs[j]
+        if quotas[j] < len(t):
             failed = True
-            reads = list(t_addrs)
+            reads = list(t)
         else:
-            reads = t_addrs + _noise_addresses(
-                n_j, set(t_addrs), quotas[j] - len(t_addrs), state.noise_rngs[j])
+            reads = t + _noise_addresses(
+                state.n_per[j], set(t), quotas[j] - len(t), state.noise_rngs[j])
         state.noise_rngs[j].shuffle(reads)
         plans.append(reads)
 
@@ -424,18 +438,19 @@ def _query(state: EngineState, q: Query) -> QueryResult:
     else:
         blocks = [fetch(j) for j in range(m)]
 
-    records: list[Record] = []
+    found: list[Record] = []
     for j in range(m):
-        want = {state.addr_of[rid][1]: rid for rid in t_rids[j]}
-        for addr, blob in zip(plans[j], blocks[j]):
-            rid = want.pop(addr, None)
-            if rid is None:
+        want = dict(zip(t_addrs[j], t_pos[j]))  # address -> record position
+        for a, blob in zip(plans[j], blocks[j]):
+            i = want.pop(a, None)
+            if i is None:
                 continue
+            rid = records[i].rid
             got_rid, got_key, payload = _parse_block(blob)
             if got_rid != rid:
                 raise DataError(f"store returned record {got_rid} for id {rid}")
-            records.append(Record(got_rid, got_key, payload))
-    records.sort(key=lambda r: r.rid)
+            found.append(Record(got_rid, got_key, payload))
+    found.sort(key=lambda r: r.rid)
 
     rt = up = down = 0
     for j, c in enumerate(state.counters):
@@ -445,7 +460,7 @@ def _query(state: EngineState, q: Query) -> QueryResult:
         down += s.bytes_down - b.bytes_down
     fetched = sum(len(p) for p in plans)
     return QueryResult(
-        records=records, true_count=len(locators), fetched_count=fetched,
+        records=found, true_count=len(pos), fetched_count=fetched,
         failed=failed, per_oram_requests=[len(p) for p in plans],
         roundtrips=rt, bytes_up=up, bytes_down=down, oram_accesses=fetched,
     )

@@ -39,7 +39,7 @@ from shrouddb.errors import (
     StorageError,
     StorageNotEmptyError,
 )
-from shrouddb.slots import fresh_nonces, open_slots, seal_slots, sealed_size
+from shrouddb.slots import cipher, fresh_nonces, open_slots, seal_slots, sealed_size
 from shrouddb.storage import Kvs, bucket_key
 
 __all__ = [
@@ -143,6 +143,7 @@ class OramState:
                  rng: random.Random, namespace: int = 0):
         self.config = config
         self.key = key
+        self._cipher = cipher(key.data)  # owned here, dropped with the state
         self.store = store
         self.rng = rng
         self.L = math.ceil(math.log2(max(2, math.ceil(config.capacity / config.Z))))
@@ -211,7 +212,7 @@ class OramState:
             if len(blob) != self.bucket_bytes:
                 raise StorageError(f"bucket value has {len(blob)} bytes, expected {self.bucket_bytes}")
         total = len(bucket_ids) * self.config.Z
-        bodies = open_slots(self.key.data, blobs, len(bucket_ids), self.bucket_plain)
+        bodies = open_slots(self._cipher, blobs, len(bucket_ids), self.bucket_plain)
 
         # pull every real block on the fetched paths into the stash
         view = np.frombuffer(bodies, dtype=np.uint8).reshape(total, self.body_size)
@@ -255,7 +256,7 @@ class OramState:
                 parts.append(data)
             parts.extend([self._dummy_body] * (self.config.Z - len(blocks)))
         n = len(bucket_ids)
-        sealed = seal_slots(self.key.data, b"".join(parts), fresh_nonces(n), n,
+        sealed = seal_slots(self._cipher, b"".join(parts), fresh_nonces(n), n,
                             self.bucket_plain)
         return list(zip([self._bucket_keys[b] for b in bucket_ids], sealed))
 
@@ -319,7 +320,7 @@ class OramState:
         """
         blobs = self.store.batch_get(self._bucket_keys)
         total = self.n_buckets * self.config.Z
-        bodies = open_slots(self.key.data, blobs, self.n_buckets, self.bucket_plain)
+        bodies = open_slots(self._cipher, blobs, self.n_buckets, self.bucket_plain)
         found: dict[int, int] = {}
         for i in range(total):
             addr = int.from_bytes(bodies[i * self.body_size:i * self.body_size + ADDR_SIZE], "big")

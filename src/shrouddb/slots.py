@@ -6,7 +6,8 @@ linear-scan baseline one message per record. A sealed message is
 ``nonce (12) || ciphertext || tag (16)``, ``sealed_size(size)`` bytes
 for a ``size``-byte plaintext, so its length depends only on the
 configuration. Nonces come from OS entropy (``fresh_nonces``); callers
-never need the nonce or tag sizes.
+never need the nonce or tag sizes. The caller owns the ``AESGCM``
+context (``cipher(key)``), so no key outlives the state that holds it.
 """
 
 import os
@@ -16,25 +17,17 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from shrouddb.errors import AuthenticationError, ParameterError
 
-__all__ = ["sealed_size", "fresh_nonces", "seal_slots", "open_slots"]
+__all__ = ["cipher", "sealed_size", "fresh_nonces", "seal_slots", "open_slots"]
 
 _NONCE = 12
 _TAG = 16
 
-# One AESGCM context per key; an ORAM seals every bucket it writes under
-# a single key, so construction cost matters.
-_ctx_cache: dict[bytes, AESGCM] = {}
 
-
-def _ctx(key: bytes) -> AESGCM:
-    ctx = _ctx_cache.get(key)
-    if ctx is None:
-        if len(key) not in (16, 32):
-            raise ParameterError(f"bad AES key length {len(key)}")
-        if len(_ctx_cache) > 64:
-            _ctx_cache.clear()
-        ctx = _ctx_cache[key] = AESGCM(key)
-    return ctx
+def cipher(key: bytes) -> AESGCM:
+    """An AES-GCM context for a 128- or 256-bit ``key``."""
+    if len(key) not in (16, 32):
+        raise ParameterError(f"bad AES key length {len(key)}")
+    return AESGCM(key)
 
 
 def sealed_size(size: int) -> int:
@@ -47,7 +40,7 @@ def fresh_nonces(count: int) -> bytes:
     return os.urandom(_NONCE * count)
 
 
-def seal_slots(key: bytes, plain: bytes, nonces: bytes, count: int,
+def seal_slots(ctx: AESGCM, plain: bytes, nonces: bytes, count: int,
                size: int) -> list[bytes]:
     """Seal ``count`` messages of ``size`` bytes each.
 
@@ -59,7 +52,7 @@ def seal_slots(key: bytes, plain: bytes, nonces: bytes, count: int,
         raise ParameterError("plaintext length does not match count * size")
     if len(nonces) != count * _NONCE:
         raise ParameterError("nonce blob length does not match count")
-    encrypt = _ctx(key).encrypt
+    encrypt = ctx.encrypt
     src = memoryview(plain)
     out = []
     for i in range(count):
@@ -68,7 +61,7 @@ def seal_slots(key: bytes, plain: bytes, nonces: bytes, count: int,
     return out
 
 
-def open_slots(key: bytes, sealed: list[bytes], count: int, size: int) -> bytes:
+def open_slots(ctx: AESGCM, sealed: list[bytes], count: int, size: int) -> bytes:
     """Open ``count`` sealed messages back to their concatenated plaintexts.
 
     Raises ``AuthenticationError`` naming the index of the first message
@@ -77,7 +70,7 @@ def open_slots(key: bytes, sealed: list[bytes], count: int, size: int) -> bytes:
     if len(sealed) != count:
         raise ParameterError(f"got {len(sealed)} sealed messages, expected {count}")
     want = sealed_size(size)
-    decrypt = _ctx(key).decrypt
+    decrypt = ctx.decrypt
     out = []
     for i, msg in enumerate(sealed):
         if len(msg) != want:

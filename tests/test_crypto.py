@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from shrouddb.crypto import SymKey, keygen, partition_of, prf
 from shrouddb.errors import AuthenticationError, ParameterError
-from shrouddb.slots import fresh_nonces, open_slots, seal_slots, sealed_size
+from shrouddb.slots import cipher, fresh_nonces, open_slots, seal_slots, sealed_size
 
 
 def test_keygen_sizes(rng):
@@ -35,11 +35,11 @@ def test_symkey_validates_length():
 
 
 def _seal(key: SymKey, msg: bytes) -> bytes:
-    return seal_slots(key.data, msg, fresh_nonces(1), 1, len(msg))[0]
+    return seal_slots(cipher(key.data), msg, fresh_nonces(1), 1, len(msg))[0]
 
 
 def _open(key: SymKey, sealed: bytes, size: int) -> bytes:
-    return open_slots(key.data, [sealed], 1, size)
+    return open_slots(cipher(key.data), [sealed], 1, size)
 
 
 def test_encrypt_decrypt_roundtrip(rng):
@@ -53,7 +53,7 @@ def test_ciphertext_layout(rng):
     key = keygen(256, rng)
     msg = b"hello world"
     nonce = rng.randbytes(12)
-    sealed = seal_slots(key.data, msg, nonce, 1, len(msg))[0]
+    sealed = seal_slots(cipher(key.data), msg, nonce, 1, len(msg))[0]
     assert len(sealed) == sealed_size(len(msg)) == 12 + len(msg) + 16
     assert sealed[:12] == nonce
     assert msg not in sealed
@@ -67,9 +67,9 @@ def test_ciphertext_from_bytes_too_short(rng):
 
 def test_block_size_cap(rng):
     key = keygen(128, rng)
-    seal_slots(key.data, b"x" * 64, fresh_nonces(1), 1, 64)
+    seal_slots(cipher(key.data), b"x" * 64, fresh_nonces(1), 1, 64)
     with pytest.raises(ParameterError):
-        seal_slots(key.data, b"x" * 65, fresh_nonces(1), 1, 64)
+        seal_slots(cipher(key.data), b"x" * 65, fresh_nonces(1), 1, 64)
 
 
 def test_tamper_detection(rng):

@@ -3,7 +3,10 @@ import random
 import threading
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from shrouddb import slots
+from shrouddb.bptree import lookup
 from shrouddb.crypto import partition_of
 from shrouddb.data import Database, Query, Record, point_query, range_query
 from shrouddb.engine import (
@@ -539,9 +542,31 @@ def test_index_agrees_with_partition():
     db = small_db()
     state = setup(db, config(m=3), MemoryKvs(), seed=2)
     try:
-        locs = state.indexes["key"].lookup_range(0, state.config.domain - 1)
-        assert sorted(rid for rid, _ in locs) == [r.rid for r in db.records]
-        for rid, oram in locs:
-            assert oram == state.addr_of[rid][0] == partition_of(state.hash_key, rid, 3)
+        pos = lookup(state.indexes["key"], range_query(0, state.config.domain - 1))
+        assert sorted(pos.tolist()) == list(range(len(db)))
+        placed = [0, 0, 0]  # records seen so far per ORAM
+        for i, r in enumerate(db.records):
+            j = int(state.oram_of[i])
+            assert j == partition_of(state.hash_key, r.rid, 3)
+            assert state.addr[i] == placed[j - 1]  # its place within its partition
+            placed[j - 1] += 1
+        assert placed == state.n_per
     finally:
         state.close()
+
+
+def test_closed_deployments_leave_no_cipher_in_slots():
+    """Each ORAM owns its AES-GCM context; the cipher module keeps none."""
+    for seed in (1, 2, 3):
+        setup(small_db(), config(m=2), MemoryKvs(), seed=seed).close()
+
+    def ciphers(value) -> int:
+        if isinstance(value, AESGCM):
+            return 1
+        if isinstance(value, dict):
+            return sum(map(ciphers, [*value.keys(), *value.values()]))
+        if isinstance(value, (list, tuple, set, frozenset)):
+            return sum(map(ciphers, value))
+        return 0
+
+    assert sum(ciphers(v) for v in vars(slots).values()) == 0
