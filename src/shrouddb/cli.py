@@ -131,11 +131,9 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from shrouddb.server import serve
+    from shrouddb.storage import parse_endpoint
 
-    host, _, port = args.listen.rpartition(":")
-    if not host:
-        raise ShroudError(f"--listen needs HOST:PORT, got {args.listen!r}")
-    serve(host, int(port), args.backend, args.data_dir)
+    serve(*parse_endpoint(args.listen), args.backend, args.data_dir)
     return 0
 
 

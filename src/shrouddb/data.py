@@ -6,10 +6,7 @@ from dataclasses import dataclass, field
 
 from shrouddb.errors import DataError, ParameterError
 
-__all__ = ["Record", "Database", "Query", "POINT", "RANGE"]
-
-POINT = "point"
-RANGE = "range"
+__all__ = ["Record", "Database", "Query"]
 
 
 @dataclass(frozen=True)
@@ -59,25 +56,21 @@ class Database:
 
 @dataclass(frozen=True)
 class Query:
-    """Inclusive range ``[a, b]`` (a point when ``a == b``) over one column."""
+    """Inclusive range ``[a, b]`` over one column; a point query is the
+    range with ``a == b``."""
 
-    kind: str
     a: int
     b: int
     attribute: str = "key"
 
     def __post_init__(self):
-        if self.kind not in (POINT, RANGE):
-            raise ParameterError(f"unknown query kind {self.kind!r}")
-        if self.kind == POINT and self.a != self.b:
-            raise ParameterError("point query must have a == b")
         if self.a > self.b:
             raise ParameterError(f"empty range [{self.a}, {self.b}]")
 
 
 def point_query(a: int, attribute: str = "key") -> Query:
-    return Query(POINT, a, a, attribute)
+    return Query(a, a, attribute)
 
 
 def range_query(a: int, b: int, attribute: str = "key") -> Query:
-    return Query(RANGE, a, b, attribute)
+    return Query(a, b, attribute)

@@ -2,11 +2,12 @@
 
 Records are split pseudorandomly across ``m`` independent ORAMs. A
 query resolves matching records to ORAM addresses through a local
-sorted-array index and two placement arrays, asks a DP
-sanitizer for a noisy overcount, and pads each ORAM's fetch list with
-reads of random non-matching records up to its share of the noisy
-count, so the storage server observes only uniform path reads and a
-differentially private number of them.
+sorted-array index and two placement arrays, asks a DP sanitizer for
+a noisy overcount, and plans each ORAM's fetch as its matches followed
+by reads of uniformly random non-matching records up to its share of
+the noisy count. An ORAM batch reads and writes the sorted union of its
+paths and remaps every leaf afresh, so the order of a plan never shows:
+the server observes uniform path reads and a DP number of them.
 
 Three volume modes:
 
@@ -75,6 +76,7 @@ MODES = ("single", "gamma", "no-gamma")
 
 RID_SIZE = 8
 KEY_SIZE = 8
+AES_BITS = 128  # every deployment key is AES-128
 
 
 def compute_gamma(m: int, beta: float, k0: int) -> float:
@@ -100,8 +102,6 @@ class EngineConfig:
     epsilon: float = math.log(2)
     beta: float = 2.0 ** -20
     fanout: int = 16
-    lambda_sec: int = 128
-    Z: int = 5
     budget: float | None = None
 
     def __post_init__(self):
@@ -151,10 +151,8 @@ class EngineState:
 
     config: EngineConfig
     db: Database
-    padded_domain: int
-    hash_key: SymKey
+    hash_key: SymKey | None
     orams: list[OramState]
-    counters: list
     oram_of: np.ndarray                      # record position -> ORAM id
     addr: np.ndarray                         # record position -> address
     n_per: list[int]                         # records per ORAM
@@ -166,16 +164,18 @@ class EngineState:
     meta_store: Kvs
     owned_stores: list[Kvs] = field(default_factory=list)
     _pool: ThreadPoolExecutor | None = None
-    _meta_slot: int = 0
     _busy: threading.Lock = field(default_factory=threading.Lock)
 
     def close(self) -> None:
+        """Stop the pool, close the stores setup opened and drop the keys."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
         for store in self.owned_stores:
             store.close()
         self.owned_stores = []
+        self.orams = []
+        self.hash_key = None
 
     def __enter__(self) -> "EngineState":
         return self
@@ -246,7 +246,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
             raise DataError(f"record {r.rid} key {r.key} outside [0, {config.domain})")
 
     m = config.m
-    hash_key = keygen(config.lambda_sec, _stream(seed, "key:hash"))
+    hash_key = keygen(AES_BITS, _stream(seed, "key:hash"))
     groups: list[list[Record]] = [[] for _ in range(m)]
     oram_of: list[int] = []
     addr: list[int] = []
@@ -259,8 +259,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
 
     oram_stores, meta_store, owned = _open_stores(config, storage, data_dir)
     state = EngineState(
-        config=config, db=db, padded_domain=_pad_domain(config.domain, config.fanout),
-        hash_key=hash_key, orams=[], counters=[],
+        config=config, db=db, hash_key=hash_key, orams=[],
         oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
         n_per=n_per, indexes={}, sanitizers={}, budgets={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
@@ -270,16 +269,13 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     block_payload = RID_SIZE + KEY_SIZE + config.record_size
     try:
         for j in range(1, m + 1):
-            counting = CountingKvs(oram_stores[j - 1])
-            state.counters.append(counting.counters)
-            oram_key = keygen(config.lambda_sec, _stream(seed, f"key:oram:{j}"))
+            oram_key = keygen(AES_BITS, _stream(seed, f"key:oram:{j}"))
             oram_rng = _stream(seed, f"oram:{j}")
-            cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload,
-                             Z=config.Z)
+            cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload)
             blocks = [(a, _block(r.rid, r.key, r.payload))
                       for a, r in enumerate(groups[j - 1])]
-            state.orams.append(oram_init(cfg, oram_key, counting, oram_rng,
-                                         namespace=j - 1, blocks=blocks))
+            state.orams.append(oram_init(cfg, oram_key, CountingKvs(oram_stores[j - 1]),
+                                         oram_rng, namespace=j - 1, blocks=blocks))
         _install_attribute(state, "key", config.epsilon)
     except BaseException:
         state.close()  # a failed setup keeps no connection, file or thread open
@@ -294,9 +290,10 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
         if not 0 <= v < config.domain:
             raise DataError(f"column {attribute!r} value {v} outside "
                             f"[0, {config.domain})")
-    state.indexes[attribute] = bptree.create_index(column)
+    index = bptree.create_index(column)
 
-    N, k = state.padded_domain, config.fanout
+    k = config.fanout
+    N = _pad_domain(config.domain, k)
     if config.mode == "no-gamma":
         group = []
         values = np.asarray(column)
@@ -309,12 +306,12 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
         rng = _stream(state.seed, f"sanitizer:{attribute}:0")
         group = [sanitizer.build_range_sanitizer(
             column, N, k, epsilon, config.beta, rng)]
-    state.sanitizers[attribute] = group
-    state.budgets[attribute] = epsilon
-    slot = state._meta_slot
+    slot = sum(map(len, state.sanitizers.values()))  # the sanitizers already stored
     state.meta_store.batch_put([(bucket_key(slot + i, META_NAMESPACE), sanitizer.serialize(ds))
                                 for i, ds in enumerate(group)])
-    state._meta_slot += len(group)
+    state.indexes[attribute] = index
+    state.sanitizers[attribute] = group
+    state.budgets[attribute] = epsilon
 
 
 def register_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
@@ -343,24 +340,16 @@ def spent_budget(state: EngineState) -> float:
 
 def _noise_addresses(n_j: int, taken: set[int], need: int,
                      rng: random.Random) -> list[int]:
-    """``need`` distinct addresses outside ``taken``; when the partition
-    runs out, the reserved never-written address ``n_j`` pads the rest."""
-    avail = n_j - len(taken)
-    take = min(need, avail)
-    picks: list[int] = []
-    if take > 0:
-        if take * 3 >= avail:
-            pool = [a for a in range(n_j) if a not in taken]
-            picks = rng.sample(pool, take)
-        else:
-            chosen: set[int] = set()
-            while len(picks) < take:
-                a = rng.randrange(n_j)
-                if a not in taken and a not in chosen:
-                    chosen.add(a)
-                    picks.append(a)
-    picks.extend([n_j] * (need - take))
-    return picks
+    """``need`` distinct addresses drawn uniformly from ``[0, n_j)``
+    outside ``taken``; when the partition runs out, the reserved
+    never-written address ``n_j`` pads the rest."""
+    if need <= 0:
+        return []
+    # a uniform sample in random order; its first ``need`` untaken
+    # addresses are a uniform choice among all untaken ones
+    picks = [a for a in rng.sample(range(n_j), min(n_j, need + len(taken)))
+             if a not in taken][:need]
+    return picks + [n_j] * (need - len(picks))
 
 
 def query(state: EngineState, q: Query) -> QueryResult:
@@ -381,6 +370,8 @@ def query(state: EngineState, q: Query) -> QueryResult:
 
 def _query(state: EngineState, q: Query) -> QueryResult:
     config = state.config
+    if not state.orams:
+        raise QueryError("the state is closed")
     if q.attribute not in state.indexes:
         raise QueryError(f"attribute {q.attribute!r} is not indexed")
     if not 0 <= q.a <= q.b < config.domain:
@@ -388,45 +379,29 @@ def _query(state: EngineState, q: Query) -> QueryResult:
 
     m = config.m
     records = state.db.records
-    # matching record positions in rid order, the order each ORAM's read plan lists them
-    pos = sorted(bptree.lookup(state.indexes[q.attribute], q).tolist(),
-                 key=lambda i: records[i].rid)
+    pos = bptree.lookup(state.indexes[q.attribute], q)  # matching record positions
     t_pos: list[list[int]] = [[] for _ in range(m)]
     t_addrs: list[list[int]] = [[] for _ in range(m)]
-    for i, j, a in zip(pos, state.oram_of[pos].tolist(), state.addr[pos].tolist()):
+    for i, j, a in zip(pos.tolist(), state.oram_of[pos].tolist(), state.addr[pos].tolist()):
         t_pos[j - 1].append(i)
         t_addrs[j - 1].append(a)
     dss = state.sanitizers[q.attribute]
 
-    failed = False
-    quotas: list[int] = []
     if config.mode == "no-gamma":
-        for j in range(m):
-            quotas.append(sanitizer.sanitizer_query(dss[j], q.a, q.b))
+        quotas = [sanitizer.sanitizer_query(ds, q.a, q.b) for ds in dss]
     else:
-        k0 = sanitizer.sanitizer_query(dss[0], q.a, q.b)
-        if config.mode == "single":
-            quotas = [k0]
-        else:
-            if k0 == 0:
-                quotas = [0] * m
-            else:
-                gamma = compute_gamma(m, config.beta, k0)
-                quotas = [math.ceil((1.0 + gamma) * k0 / m)] * m
+        share = k0 = sanitizer.sanitizer_query(dss[0], q.a, q.b)
+        if config.mode == "gamma" and k0 > 0:
+            share = math.ceil((1.0 + compute_gamma(m, config.beta, k0)) * k0 / m)
+        quotas = [share] * m
 
-    plans: list[list[int]] = []
-    for j in range(m):
-        t = t_addrs[j]
-        if quotas[j] < len(t):
-            failed = True
-            reads = list(t)
-        else:
-            reads = t + _noise_addresses(
-                state.n_per[j], set(t), quotas[j] - len(t), state.noise_rngs[j])
-        state.noise_rngs[j].shuffle(reads)
-        plans.append(reads)
+    # each ORAM reads its matches first, then its padding
+    plans = [t + _noise_addresses(n_j, set(t), quota - len(t), rng)
+             for t, n_j, quota, rng in zip(t_addrs, state.n_per, quotas, state.noise_rngs)]
+    failed = any(len(t) > quota for t, quota in zip(t_addrs, quotas))
 
-    before = [c.snapshot() for c in state.counters]
+    counters = [st.store.counters for st in state.orams]
+    before = [c.snapshot() for c in counters]
 
     def fetch(j: int) -> list[bytes]:
         if not plans[j]:
@@ -440,24 +415,17 @@ def _query(state: EngineState, q: Query) -> QueryResult:
 
     found: list[Record] = []
     for j in range(m):
-        want = dict(zip(t_addrs[j], t_pos[j]))  # address -> record position
-        for a, blob in zip(plans[j], blocks[j]):
-            i = want.pop(a, None)
-            if i is None:
-                continue
-            rid = records[i].rid
+        for i, blob in zip(t_pos[j], blocks[j]):  # the first len(t) blocks are the matches
             got_rid, got_key, payload = _parse_block(blob)
-            if got_rid != rid:
-                raise DataError(f"store returned record {got_rid} for id {rid}")
+            if got_rid != records[i].rid:
+                raise DataError(f"store returned record {got_rid} for id {records[i].rid}")
             found.append(Record(got_rid, got_key, payload))
     found.sort(key=lambda r: r.rid)
 
-    rt = up = down = 0
-    for j, c in enumerate(state.counters):
-        b, s = before[j], c.snapshot()
-        rt += s.roundtrips - b.roundtrips
-        up += s.bytes_up - b.bytes_up
-        down += s.bytes_down - b.bytes_down
+    after = [c.snapshot() for c in counters]
+    rt = sum(s.roundtrips - b.roundtrips for b, s in zip(before, after))
+    up = sum(s.bytes_up - b.bytes_up for b, s in zip(before, after))
+    down = sum(s.bytes_down - b.bytes_down for b, s in zip(before, after))
     fetched = sum(len(p) for p in plans)
     return QueryResult(
         records=found, true_count=len(pos), fetched_count=fetched,

@@ -12,7 +12,12 @@ server observes nothing but uniformly random path reads.
 
 ``batch_access`` combines many accesses into exactly one multi-path
 read plus one multi-path write-back (two storage round trips), with all
-mixing and re-encryption done in client memory.
+mixing and re-encryption done in client memory. A write-back whose
+outcome is unknown (the store raised; the server may or may not have
+applied it) is kept: the client keeps its new stash and positions and
+re-sends the identical sealed pairs before the next access, refusing
+access until they are stored. A put is idempotent, so this is right
+whichever way the failed one went.
 
 ``oram_init`` builds the starting tree on the client: it places the
 initial blocks by the same greedy rule over every bucket, keeps any
@@ -80,19 +85,17 @@ def default_stash_limit(eta1: float = 2.0 ** -32) -> int:
 
 @dataclass(frozen=True)
 class OramConfig:
-    """Geometry and failure budget of one ORAM store.
+    """Geometry and stash limit of one ORAM store.
 
-    ``stash_limit`` defaults to the smallest size whose overflow
-    probability bound is below ``eta1``. ``eta2`` records the assumed
-    distinguishing advantage of the encryption; it is informational.
+    ``stash_limit`` defaults to ``default_stash_limit()``, the smallest
+    size whose overflow probability bound is below ``2^-32``; that bound
+    holds for ``Z = 5``.
     """
 
     capacity: int
     block_payload: int
     Z: int = 5
     stash_limit: int | None = None
-    eta1: float = 2.0 ** -32
-    eta2: float | None = None
 
     def __post_init__(self):
         if self.Z < 1:
@@ -103,8 +106,6 @@ class OramConfig:
             raise ParameterError("block payload must be >= 1 byte")
         if self.stash_limit is not None and self.stash_limit < 1:
             raise ParameterError("stash limit must be >= 1")
-        if not 0.0 < self.eta1 < 1.0:
-            raise ParameterError("eta1 must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,8 @@ def write_op(addr: int, data: bytes) -> AccessOp:
 
 
 class OramState:
-    """Client half of one ORAM: position map, stash, keys, counters.
+    """Client half of one ORAM: position map, stash, cipher, and the
+    write-back still to be confirmed.
 
     Owned by exactly one worker at a time; parallelism happens across
     independent instances, never within one. Bucket ``i`` is stored
@@ -142,7 +144,6 @@ class OramState:
     def __init__(self, config: OramConfig, key: SymKey, store: Kvs,
                  rng: random.Random, namespace: int = 0):
         self.config = config
-        self.key = key
         self._cipher = cipher(key.data)  # owned here, dropped with the state
         self.store = store
         self.rng = rng
@@ -153,11 +154,12 @@ class OramState:
         self.bucket_plain = config.Z * self.body_size
         self.bucket_bytes = sealed_size(self.bucket_plain)
         self.stash_limit = (config.stash_limit if config.stash_limit is not None
-                            else default_stash_limit(config.eta1))
+                            else default_stash_limit())
         self.pos = [rng.randrange(self.leaves) for _ in range(config.capacity)]
         self.stash: dict[int, bytes] = {}
         self.stash_peak = 0
         self.overflowed = False
+        self._pending: list[tuple[bytes, bytes]] | None = None  # unconfirmed write-back
         self._zeros = bytes(config.block_payload)
         self._dummy_body = DUMMY_ADDR.to_bytes(ADDR_SIZE, "big") + self._zeros
         self._bucket_keys = [bucket_key(i, namespace) for i in range(self.n_buckets)]
@@ -203,9 +205,8 @@ class OramState:
                 distinct.append(op.addr)
         read_leaves = [self.pos[a] for a in distinct]
         bucket_ids = sorted({b for leaf in read_leaves for b in self._path_buckets(leaf)})
-
-        stash_snapshot = dict(self.stash)
-        pos_snapshot = [(a, self.pos[a]) for a in distinct]
+        if self._pending is not None:
+            self._flush()
 
         blobs = self.store.batch_get([self._bucket_keys[b] for b in bucket_ids])
         for blob in blobs:
@@ -231,18 +232,21 @@ class OramState:
                 results.append(stash.get(op.addr, self._zeros))
             self.pos[op.addr] = self._draw_leaf()
 
-        new_stash, placed = self._evict(bucket_ids)
-        pairs = self._seal(bucket_ids, placed)
-        try:
-            self.store.batch_put(pairs)
-        except StorageError as exc:
-            self.stash = stash_snapshot
-            for a, leaf in pos_snapshot:
-                self.pos[a] = leaf
-            raise BatchError(f"write-back failed, state rolled back: {exc}") from exc
-
-        self._keep_stash(new_stash)
+        self.stash, placed = self._evict(bucket_ids)
+        self._pending = self._seal(bucket_ids, placed)
+        self._flush()
+        self._check_stash()
         return results
+
+    def _flush(self) -> None:
+        """Store the pending write-back. On failure it stays pending, to
+        be re-sent before the next access."""
+        try:
+            self.store.batch_put(self._pending)
+        except StorageError as exc:
+            raise BatchError(f"write-back not confirmed; it is re-sent "
+                             f"before the next access: {exc}") from exc
+        self._pending = None
 
     def _seal(self, bucket_ids: list[int],
               placed: dict[int, list[tuple[int, bytes]]]) -> list[tuple[bytes, bytes]]:
@@ -260,16 +264,14 @@ class OramState:
                             self.bucket_plain)
         return list(zip([self._bucket_keys[b] for b in bucket_ids], sealed))
 
-    def _keep_stash(self, new_stash: dict[int, bytes]) -> None:
-        """Adopt the stash left after a write-back; refuse further access
-        once it holds more than ``stash_limit`` blocks."""
-        self.stash = new_stash
-        if len(new_stash) > self.stash_peak:
-            self.stash_peak = len(new_stash)
-        if len(new_stash) > self.stash_limit:
+    def _check_stash(self) -> None:
+        """Track the stash peak; refuse further access once the stash
+        holds more than ``stash_limit`` blocks."""
+        size = len(self.stash)
+        self.stash_peak = max(self.stash_peak, size)
+        if size > self.stash_limit:
             self.overflowed = True
-            raise StashOverflowError(
-                f"stash holds {len(new_stash)} blocks, limit {self.stash_limit}")
+            raise StashOverflowError(f"stash holds {size} blocks, limit {self.stash_limit}")
 
     def _evict(self, bucket_ids: list[int]):
         """Greedy write-back: fill fetched buckets deepest-first, each
@@ -365,7 +367,7 @@ def oram_init(config: OramConfig, key: SymKey, store: Kvs,
         raise StorageNotEmptyError("storage already holds a bucket tree; clear it first")
     state.stash = initial
     every = list(range(state.n_buckets))
-    new_stash, placed = state._evict(every)
+    state.stash, placed = state._evict(every)
     store.batch_put(state._seal(every, placed))
-    state._keep_stash(new_stash)
+    state._check_stash()
     return state

@@ -113,7 +113,6 @@ class SanitizerParams:
     k: int
     alpha: int
     epsilon: float
-    beta: float
 
 
 def _uniforms(n: int, rng: random.Random) -> np.ndarray:
@@ -191,7 +190,7 @@ def build_point_sanitizer(keys: list[int], N: int, epsilon: float, beta: float,
             raise DataError(f"key {v} outside domain [0, {N})")
     true = np.bincount(keys, minlength=N) if keys else np.zeros(N, dtype=np.int64)
     bins, clamped = _noisy_counts(true, alpha, 1.0 / epsilon, rng)
-    return PointHistogram(SanitizerParams(N, 0, alpha, epsilon, beta), bins, clamped)
+    return PointHistogram(SanitizerParams(N, 0, alpha, epsilon), bins, clamped)
 
 
 def build_range_sanitizer(keys: list[int], N: int, k: int, epsilon: float,
@@ -211,7 +210,7 @@ def build_range_sanitizer(keys: list[int], N: int, k: int, epsilon: float,
         levels.append(levels[-1].reshape(-1, k).sum(axis=1))
     levels.reverse()  # root level first
     counts, clamped = _noisy_counts(np.concatenate(levels), alpha, h / epsilon, rng)
-    return AggregateTree(SanitizerParams(N, k, alpha, epsilon, beta), counts, clamped)
+    return AggregateTree(SanitizerParams(N, k, alpha, epsilon), counts, clamped)
 
 
 def canonical_cover(a: int, b: int, height: int, k: int) -> list[tuple[int, int]]:
@@ -274,7 +273,8 @@ def serialize(ds: PointHistogram | AggregateTree) -> bytes:
     return head + struct.pack(f"<{len(counts)}Q", *counts)
 
 
-def deserialize(data: bytes, beta: float = 0.0) -> PointHistogram | AggregateTree:
+def deserialize(data: bytes) -> PointHistogram | AggregateTree:
+    """The sanitizer ``serialize`` wrote, with the params it stored."""
     head = struct.calcsize("<BIQId Q")
     if len(data) < 4 + head or data[:4] != MAGIC:
         raise DataError("not a serialized sanitizer")
@@ -283,7 +283,7 @@ def deserialize(data: bytes, beta: float = 0.0) -> PointHistogram | AggregateTre
     if len(body) != 8 * count:
         raise DataError(f"expected {8 * count} count bytes, found {len(body)}")
     counts = list(struct.unpack(f"<{count}Q", body))
-    params = SanitizerParams(N, k, alpha, epsilon, beta)
+    params = SanitizerParams(N, k, alpha, epsilon)
     if kind == KIND_POINT:
         if count != N:
             raise DataError("bin count does not match domain size")

@@ -98,7 +98,8 @@ class DiskKvs(Kvs):
     Reopening rebuilds the index by a single forward scan; later
     records for a key shadow earlier ones. A torn record at the tail
     (a crash mid-append) is cut off on reopen, so the next append
-    starts on a record boundary. No compaction.
+    starts on a record boundary. A failed write is a ``StorageError``;
+    the records appended before it stay. No compaction.
     """
 
     def __init__(self, path: str | Path):
@@ -163,9 +164,12 @@ class DiskKvs(Kvs):
         for k, _ in pairs:
             _check_key(k)
         with self._lock:
-            for k, v in pairs:
-                self._append(k, v)
-            self._file.flush()
+            try:
+                for k, v in pairs:
+                    self._append(k, v)
+                self._file.flush()
+            except OSError as exc:
+                raise StorageError(f"disk write failed: {exc}") from exc
 
     def close(self) -> None:
         if not self._file.closed:
@@ -188,7 +192,9 @@ class RemoteKvs(Kvs):
     pairs, so one handle may be shared by several threads (as when a
     caller passes it to ``engine.setup`` with m > 1); the engine's own
     ``remote=HOST:PORT`` spec opens one handle per ORAM instead, so
-    their batches travel in parallel.
+    their batches travel in parallel. A transport failure closes the
+    handle, so a late reply is never read as the answer to a later
+    request.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
@@ -201,14 +207,15 @@ class RemoteKvs(Kvs):
         self._closed = False
 
     def _call(self, opcode: int, payload: bytes) -> tuple[int, bytes]:
-        if self._closed:
-            raise StorageClosedError("handle is closed")
-        try:
-            with self._lock:
+        with self._lock:
+            if self._closed:
+                raise StorageClosedError("handle is closed")
+            try:
                 wire.send_request(self._sock, opcode, payload)
                 return wire.read_response(self._sock, opcode)
-        except (ConnectionError, OSError, ValueError) as exc:
-            raise StorageError(f"transport failure: {exc}") from exc
+            except (ConnectionError, OSError, ValueError) as exc:
+                self.close()
+                raise StorageError(f"transport failure: {exc}") from exc
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         if not keys:
@@ -301,6 +308,14 @@ def parse_backend(spec: str) -> tuple[str, str | None]:
     raise ParameterError(f"unknown storage spec {spec!r}")
 
 
+def parse_endpoint(endpoint: str) -> tuple[str, int]:
+    """``HOST:PORT`` as ``(host, port)``, the port in 0..65535."""
+    host, _, port = endpoint.rpartition(":")
+    if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ParameterError(f"expected HOST:PORT with a port in 0-65535, got {endpoint!r}")
+    return host, int(port)
+
+
 def connect(spec: str, data_dir: str | Path | None = None) -> Kvs:
     """Open a backend from a --storage spec string."""
     kind, endpoint = parse_backend(spec)
@@ -310,7 +325,4 @@ def connect(spec: str, data_dir: str | Path | None = None) -> Kvs:
         if data_dir is None:
             raise ParameterError("disk backend requires a data directory")
         return DiskKvs(Path(data_dir) / "store.log")
-    host, _, port = endpoint.rpartition(":")
-    if not host or not port.isdigit():
-        raise ParameterError(f"remote spec needs HOST:PORT, got {endpoint!r}")
-    return RemoteKvs(host, int(port))
+    return RemoteKvs(*parse_endpoint(endpoint))

@@ -28,13 +28,19 @@ def server():
     proc = subprocess.Popen(
         [sys.executable, "-m", "shrouddb", "serve", "--listen", "127.0.0.1:0"],
         stdout=subprocess.PIPE, text=True)
-    line = proc.stdout.readline()
-    m = re.search(r"listening on (\S+):(\d+)", line)
-    assert m, line
-    yield m.group(1), int(m.group(2))
-    proc.terminate()
-    proc.wait()
-    proc.stdout.close()
+    try:
+        line = proc.stdout.readline()
+        m = re.search(r"listening on (\S+):(\d+)", line)
+        assert m, line
+        yield m.group(1), int(m.group(2))
+    finally:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 class LeafRecordingKvs(MemoryKvs):

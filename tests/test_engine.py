@@ -1,16 +1,20 @@
+import gc
 import math
 import random
 import threading
+import types
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from scipy import stats
 
 from shrouddb import slots
 from shrouddb.bptree import lookup
-from shrouddb.crypto import partition_of
+from shrouddb.crypto import SymKey, partition_of
 from shrouddb.data import Database, Query, Record, point_query, range_query
 from shrouddb.engine import (
     EngineConfig,
+    _noise_addresses,
     compute_gamma,
     query,
     register_attribute,
@@ -18,6 +22,7 @@ from shrouddb.engine import (
     spent_budget,
 )
 from shrouddb.errors import (
+    AuthenticationError,
     BatchError,
     BudgetError,
     DataError,
@@ -26,6 +31,7 @@ from shrouddb.errors import (
     StorageClosedError,
     StorageNotEmptyError,
 )
+from shrouddb.slots import open_slots
 from shrouddb.storage import INDEX_BITS, Kvs, MemoryKvs, bucket_key
 
 LN2 = math.log(2)
@@ -220,7 +226,10 @@ def test_seedless_setups_draw_fresh_keys():
     try:
         a, b = states
         assert a.seed is None and a.hash_key != b.hash_key
-        assert all(x.key != y.key for x, y in zip(a.orams, b.orams))
+        for x, y in zip(a.orams, b.orams):  # fresh ORAM keys: y cannot open x's root
+            root = x.store.batch_get(x._bucket_keys[:1])
+            with pytest.raises(AuthenticationError):
+                open_slots(y._cipher, root, 1, y.bucket_plain)
         for st in states:
             register_attribute(st, "aux", LN2)
             for q in (range_query(20, 45), range_query(10, 22, "aux")):
@@ -273,21 +282,68 @@ def test_zero_count_zero_reads():
         state.close()
 
 
+def record_plans(state) -> dict[int, list[int]]:
+    """Wraps each ORAM's ``batch_access``; the returned dict maps an
+    ORAM's index to the addresses of its latest batch."""
+    plans: dict[int, list[int]] = {}
+    for j, st in enumerate(state.orams):
+        def batch_access(ops, j=j, inner=st.batch_access):
+            plans[j] = [op.addr for op in ops]
+            return inner(ops)
+        st.batch_access = batch_access
+    return plans
+
+
 def test_noise_reads_are_valid_distinct_non_matching():
+    """Each ORAM's plan is its matches in index order, then distinct
+    non-matching addresses in ``[0, n_j)``, then the reserved address
+    ``n_j`` only once the partition has none left."""
     db = small_db()
     state = setup(db, config(m=2), MemoryKvs(), seed=33)
     try:
-        q = range_query(10, 20)
-        locators = {rid for rid in expected(db, q)}
-        # observe the planned addresses via the per-ORAM request counts and
-        # by re-deriving: every fetched address decrypts to either a match
-        # or a real non-matching record (or the reserved pad address)
-        res = query(state, q)
-        assert res.fetched_count >= res.true_count
-        # all true records came back once each
-        assert sorted(r.rid for r in res.records) == sorted(locators)
+        plans = record_plans(state)
+        exhausted = partial = 0
+        for q in (range_query(10, 20), point_query(3), range_query(0, 60),
+                  range_query(30, 99), range_query(0, 99)):
+            plans.clear()
+            res = query(state, q)
+            assert [r.rid for r in res.records] == expected(db, q)
+            pos = lookup(state.indexes["key"], q).tolist()
+            for j, n_j in enumerate(state.n_per):
+                plan = plans.get(j, [])
+                assert len(plan) == res.per_oram_requests[j]
+                matches = [int(state.addr[i]) for i in pos if state.oram_of[i] == j + 1]
+                assert plan[:len(matches)] == matches
+                pad = plan[len(matches):]
+                real = [a for a in pad if a != n_j]
+                assert len(set(real)) == len(real)
+                assert all(0 <= a < n_j for a in real)
+                assert not set(real) & set(matches)
+                if n_j in pad:
+                    assert len(real) == n_j - len(matches)  # the partition ran out
+                    assert pad[-1] == n_j and pad.index(n_j) == len(real)
+                    exhausted += 1
+                elif pad:
+                    partial += 1
+        assert exhausted and partial  # both kinds of padding were planned
     finally:
         state.close()
+
+
+def test_noise_addresses_uniform_over_untaken():
+    rng = random.Random(11)
+    n_j, taken, need, trials = 20, {0, 3, 7, 8, 15}, 4, 6000
+    counts = dict.fromkeys(sorted(set(range(n_j)) - taken), 0)
+    for _ in range(trials):
+        picks = _noise_addresses(n_j, taken, need, rng)
+        assert len(set(picks)) == need
+        for a in picks:
+            counts[a] += 1  # a KeyError would mean a taken address was drawn
+    assert stats.chisquare(list(counts.values())).pvalue > 0.001
+    # past exhaustion: every untaken address once, then the reserved one
+    picks = _noise_addresses(10, {1, 4, 5}, 9, rng)
+    assert sorted(picks[:7]) == [0, 2, 3, 6, 7, 8, 9] and picks[7:] == [10, 10]
+    assert _noise_addresses(10, {1}, 0, rng) == _noise_addresses(10, {1}, -3, rng) == []
 
 
 def test_noise_exhaustion_pads_with_reserved_address():
@@ -386,7 +442,7 @@ def test_sanitizers_persisted_to_meta_namespace():
         from shrouddb.storage import META_NAMESPACE, bucket_key
         blobs = kvs.batch_get([bucket_key(slot, META_NAMESPACE) for slot in range(2)])
         for slot, blob in enumerate(blobs):
-            ds = deserialize(blob, beta=state.config.beta)
+            ds = deserialize(blob)
             live = state.sanitizers["key"][slot]
             assert ds.counts == live.counts
     finally:
@@ -435,7 +491,7 @@ def test_bucket_values_have_fixed_size():
         for a in range(0, 90, 15):
             query(state, range_query(a, a + 7))
         log = kvs.take()
-        want = 28 + state.config.Z * (8 + 16 + rec)
+        want = 28 + 5 * (8 + 16 + rec)  # Z = 5 slots of address, rid, key, payload
         assert want == state.orams[0].bucket_bytes
         for ns in (0, 1):  # the two ORAMs; the meta namespace holds sanitizers
             sizes = {size for _, pairs in log[ns] for _, size in pairs if size is not None}
@@ -570,3 +626,27 @@ def test_closed_deployments_leave_no_cipher_in_slots():
         return 0
 
     assert sum(ciphers(v) for v in vars(slots).values()) == 0
+
+
+def test_closed_state_holds_no_key_material():
+    """``close`` drops the ORAMs with their AES-GCM contexts and the
+    partition key: nothing reachable from a closed state is a key."""
+    def keys_reachable(root) -> int:
+        seen, stack, found = set(), [root], 0
+        skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            seen.add(id(obj))
+            found += isinstance(obj, (AESGCM, SymKey))
+            stack.extend(gc.get_referents(obj))
+        return found
+
+    state = setup(small_db(), config(m=2), MemoryKvs(), seed=4)
+    assert keys_reachable(state) >= 3  # two ORAM ciphers and the partition key
+    state.close()
+    assert keys_reachable(state) == 0
+    assert state.orams == [] and state.hash_key is None
+    with pytest.raises(QueryError, match="closed"):
+        query(state, range_query(0, 5))

@@ -1,3 +1,4 @@
+import errno
 import math
 import random
 
@@ -25,7 +26,8 @@ from shrouddb.oram import (
     stash_bound,
     write_op,
 )
-from shrouddb.storage import CountingKvs, MemoryKvs, bucket_key
+from shrouddb.slots import open_slots
+from shrouddb.storage import CountingKvs, DiskKvs, MemoryKvs, bucket_key
 
 
 def make(capacity=32, payload=16, seed=7, Z=5, store=None, blocks=(), **kw):
@@ -142,9 +144,10 @@ def test_namespaces_share_one_store():
 def test_same_seed_inits_write_different_ciphertexts():
     a, b = MemoryKvs(), MemoryKvs()
     sa, sb = make(seed=3, store=a), make(seed=3, store=b)
-    assert sa.key == sb.key and sa.pos == sb.pos  # the seed fixes keys and positions
+    assert sa.pos == sb.pos  # the seed fixes keys and positions
     keys = [bucket_key(i) for i in range(sa.n_buckets)]
     va, vb = a.batch_get(keys), b.batch_get(keys)
+    open_slots(sb._cipher, va, len(va), sb.bucket_plain)  # one key opens both trees
     assert all(x != y for x, y in zip(va, vb))
     assert len({v[:12] for v in va + vb}) == 2 * len(keys)  # no nonce repeats
 
@@ -178,7 +181,7 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         OramConfig(capacity=4, block_payload=8, Z=0)
     with pytest.raises(ParameterError):
-        OramConfig(capacity=4, block_payload=8, eta1=1.5)
+        OramConfig(capacity=4, block_payload=8, stash_limit=0)
 
 
 # -- the access protocol ------------------------------------------------------
@@ -332,31 +335,92 @@ def test_stash_overflow_is_reported():
     assert kvs.counters.snapshot() == before
 
 
-def test_write_back_failure_rolls_back():
-    class FailingPuts(CountingKvs):
-        def __init__(self, inner):
-            super().__init__(inner)
-            self.fail = False
+class FlakyPuts(MemoryKvs):
+    """A store whose next ``faults`` batch puts raise: after applying the
+    pairs (a lost reply) or before (a lost request). Records every batch
+    it was sent."""
 
-        def batch_put(self, pairs):
-            if self.fail:
-                from shrouddb.errors import StorageError
-                raise StorageError("injected fault")
+    def __init__(self, applies: bool):
+        super().__init__()
+        self.applies = applies
+        self.faults = 0
+        self.sent: list[list] = []
+
+    def batch_put(self, pairs):
+        self.sent.append(list(pairs))
+        if self.applies or not self.faults:
             super().batch_put(pairs)
+        if self.faults:
+            self.faults -= 1
+            raise StorageError("injected fault")
 
-    kvs = FailingPuts(MemoryKvs())
+
+class TornDiskKvs(DiskKvs):
+    """A disk log whose write fails halfway through each of its next
+    ``faults`` batch puts."""
+
+    faults = 0
+    room = None  # records that still fit before the write fails
+
+    def batch_put(self, pairs):
+        if self.faults:
+            self.faults -= 1
+            self.room = len(pairs) // 2
+        try:
+            super().batch_put(pairs)
+        finally:
+            self.room = None
+
+    def _append(self, key, value):
+        if self.room == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        if self.room is not None:
+            self.room -= 1
+        super()._append(key, value)
+
+
+@pytest.mark.parametrize("fault", ["apply-then-fail", "fail-before-apply", "disk-partial"])
+def test_write_back_failure_is_resent(fault, tmp_path):
+    """A write-back that raises keeps the new stash and positions and
+    re-sends the identical sealed pairs before the next access; every
+    record reads back its value afterwards."""
+    n = 2000
+    if fault == "disk-partial":
+        kvs = TornDiskKvs(tmp_path / "store.log")
+    else:
+        kvs = FlakyPuts(applies=fault == "apply-then-fail")
+    values = {a: a.to_bytes(8, "big") for a in range(n)}
+    st = make(capacity=n, payload=8, store=kvs, blocks=values.items())
+    r = random.Random(5)
+    for _ in range(30):
+        kvs.faults = 1
+        with pytest.raises(BatchError, match="re-sent"):
+            st.batch_access([read_op(r.randrange(n)) for _ in range(50)])
+        assert st._pending is not None
+    if fault != "disk-partial":
+        failed = kvs.sent[-1]
+        st.access(read_op(0))
+        assert kvs.sent[-2] == failed  # the identical pairs, sent again
+    for lo in range(0, n, 200):
+        got = st.batch_access([read_op(a) for a in range(lo, lo + 200)])
+        assert got == [values[a] for a in range(lo, lo + 200)]
+    assert len(st.tree_blocks()) + len(st.stash) == n  # no address stored twice
+    kvs.close()
+
+
+def test_unconfirmed_write_back_refuses_access():
+    kvs = FlakyPuts(applies=False)
     st = make(capacity=16, payload=4, store=kvs)
     st.access(write_op(1, b"good"))
-    pos_before = list(st.pos)
-    stash_before = dict(st.stash)
-    kvs.fail = True
+    kvs.faults = 3  # the write-back and its first two re-sends fail
     with pytest.raises(BatchError):
-        st.batch_access([write_op(2, b"bad!"), read_op(1)])
-    assert st.pos == pos_before
-    assert st.stash == stash_before
-    kvs.fail = False
+        st.batch_access([write_op(2, b"new!"), read_op(1)])
+    for _ in range(2):
+        with pytest.raises(BatchError, match="re-sent"):
+            st.access(read_op(1))
+    assert kvs.sent[-3] == kvs.sent[-2] == kvs.sent[-1]
     assert st.access(read_op(1)) == b"good"
-    assert st.access(read_op(2)) == bytes(4)  # rolled-back write never landed
+    assert st.access(read_op(2)) == b"new!"  # the unconfirmed write landed
 
 
 def test_trace_records_prebatch_leaves(leaf_kvs):

@@ -372,7 +372,7 @@ def test_serialize_roundtrip_tree():
     tr = build_range_sanitizer([r.randrange(256) for _ in range(100)],
                                256, 16, LN2, 0.01, r)
     blob = serialize(tr)
-    tr2 = deserialize(blob, beta=0.01)
+    tr2 = deserialize(blob)
     assert isinstance(tr2, AggregateTree)
     assert tr2.counts == tr.counts
     assert (tr2.params.N, tr2.params.k, tr2.params.alpha) == \

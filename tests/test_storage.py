@@ -2,10 +2,11 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
-from shrouddb import wire
+from shrouddb import cli, wire
 from shrouddb.errors import (
     BatchError,
     ParameterError,
@@ -22,6 +23,7 @@ from shrouddb.storage import (
     bucket_key,
     connect,
     parse_backend,
+    parse_endpoint,
 )
 
 
@@ -162,10 +164,24 @@ def test_connect_disk_needs_dir():
         connect("disk")
 
 
-@pytest.mark.parametrize("spec", ["remote=nohost", "remote=host:", "remote=host:port"])
+@pytest.mark.parametrize("spec", ["remote=nohost", "remote=host:", "remote=host:port",
+                                  "remote=host:99999", "remote=host:-1", "remote=host:1_0"])
 def test_connect_rejects_malformed_remote_spec(spec):
     with pytest.raises(ParameterError):
         connect(spec)
+
+
+def test_parse_endpoint():
+    assert parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert parse_endpoint("::1:65535") == ("::1", 65535)
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:abc", "127.0.0.1:99999", "127.0.0.1:",
+                                    ":80", "nohost"])
+def test_serve_rejects_bad_listen_address(listen, capsys):
+    assert cli.main(["serve", "--listen", listen]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "HOST:PORT" in err and "Traceback" not in err
 
 
 def test_setup_rejects_malformed_remote_spec():
@@ -286,6 +302,37 @@ def test_malformed_remote_response_is_a_storage_error(reply):
     finally:
         kvs.close()
         t.join(timeout=10)
+
+
+def test_remote_transport_failure_closes_the_handle():
+    """A reply that arrives after the timeout is never read as the answer
+    to the next request: the failed call closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, listener:
+            op, _ = wire.read_request(conn)
+            time.sleep(0.5)  # past the client's timeout
+            try:
+                wire.send_response(conn, op, wire.ST_OK, wire.pack_values([b"late"]))
+                conn.recv(1)
+            except OSError:  # the client has gone, as it should
+                pass
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    kvs = RemoteKvs(host, port, timeout=0.1)
+    try:
+        with pytest.raises(StorageError, match="transport failure"):
+            kvs.batch_get([k(1)])
+        with pytest.raises(StorageClosedError):
+            kvs.batch_get([k(2)])
+    finally:
+        kvs.close()
+        t.join(timeout=10)
+    assert not t.is_alive()
 
 
 def test_remote_concurrent_connections(server):
