@@ -18,7 +18,7 @@ from scipy.stats import chi2_contingency
 
 from shrouddb.errors import ParameterError
 from shrouddb.rng import derive_stream
-from shrouddb.sanitizer import alpha_point, alpha_range, tree_nodes_count
+from shrouddb.sanitizer import _tree_height, alpha_point, alpha_range, tree_nodes_count
 
 __all__ = [
     "AuditReport",
@@ -144,12 +144,7 @@ def audit_alpha_range_minimality(epsilon: float, beta: float, N: int,
     getcontext().prec = 60
     alpha = alpha_range(epsilon, beta, N, k)
     nodes = tree_nodes_count(N, k)
-    h = 0
-    v = 1
-    while v < N:
-        v *= k
-        h += 1
-    rate = Decimal(repr(epsilon)) / h
+    rate = Decimal(repr(epsilon)) / _tree_height(N, k)
     b = Decimal(repr(beta))
     ok = _guarantee_holds(alpha, rate, nodes, b)
     minimal = alpha == 0 or not _guarantee_holds(alpha - 1, rate, nodes, b)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from shrouddb import bptree, sanitizer
-from shrouddb.crypto import SymKey, keygen, partition_of
+from shrouddb.crypto import keygen, partition_of
 from shrouddb.data import Database, Query, Record
 from shrouddb.errors import (
     BudgetError,
@@ -151,7 +151,6 @@ class EngineState:
 
     config: EngineConfig
     db: Database
-    hash_key: SymKey | None
     orams: list[OramState]
     oram_of: np.ndarray                      # record position -> ORAM id
     addr: np.ndarray                         # record position -> address
@@ -175,7 +174,6 @@ class EngineState:
             store.close()
         self.owned_stores = []
         self.orams = []
-        self.hash_key = None
 
     def __enter__(self) -> "EngineState":
         return self
@@ -259,7 +257,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
 
     oram_stores, meta_store, owned = _open_stores(config, storage, data_dir)
     state = EngineState(
-        config=config, db=db, hash_key=hash_key, orams=[],
+        config=config, db=db, orams=[],
         oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
         n_per=n_per, indexes={}, sanitizers={}, budgets={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],

@@ -1,14 +1,15 @@
 """Tree-based ORAM over a key-value bucket store.
 
-The server holds a complete binary tree of buckets. A bucket is ``Z``
+The server holds a complete binary tree of buckets. A bucket is ``Z = 5``
 block slots of ``addr (8) || payload``, dummies included, sealed
 together as one AES-GCM message (``shrouddb.slots``), so every bucket
-value has the same length. Every stored block is pinned to a uniformly
-random leaf; the block lives somewhere on the path from the root to
-that leaf, or in the client-side stash. Each access reads one whole
-path, remaps the touched address to a fresh leaf, and greedily rewrites
-the path from the leaf level upward with re-encrypted buckets, so the
-server observes nothing but uniformly random path reads.
+value has the same length; ``Z`` is fixed, as the stash bound holds for
+it only. Every stored block is pinned to a uniformly random leaf; the
+block lives somewhere on the path from the root to that leaf, or in the
+client-side stash. Each access reads one whole path, remaps the touched
+address to a fresh leaf, and rewrites the path level by level from the
+leaves up, each block going as deep as its leaf and the room left allow,
+so the server observes nothing but uniformly random path reads.
 
 ``batch_access`` combines many accesses into exactly one multi-path
 read plus one multi-path write-back (two storage round trips), with all
@@ -20,7 +21,7 @@ access until they are stored. A put is idempotent, so this is right
 whichever way the failed one went.
 
 ``oram_init`` builds the starting tree on the client: it places the
-initial blocks by the same greedy rule over every bucket, keeps any
+initial blocks by the same write-back over every bucket, keeps any
 that do not fit in the stash, and uploads each bucket sealed once. That
 meets the invariant above, so no access is needed to load the data.
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -49,6 +49,7 @@ from shrouddb.storage import Kvs, bucket_key
 
 __all__ = [
     "DUMMY_ADDR",
+    "Z",
     "OramConfig",
     "AccessOp",
     "OramState",
@@ -61,6 +62,7 @@ __all__ = [
 
 DUMMY_ADDR = (1 << 64) - 1
 ADDR_SIZE = 8
+Z = 5  # block slots per bucket; the stash bound below holds for this Z
 
 READ = "read"
 WRITE = "write"
@@ -73,39 +75,26 @@ def stash_bound(x: int) -> float:
     return min(1.0, 14.0 * 0.6002 ** x)
 
 
-def default_stash_limit(eta1: float = 2.0 ** -32) -> int:
-    """Smallest stash size whose overflow bound is at most ``eta1``."""
-    if not 0.0 < eta1 < 1.0:
-        raise ParameterError("eta1 must be in (0, 1)")
+def default_stash_limit() -> int:
+    """Smallest stash size whose overflow bound is at most ``2^-32``."""
     x = 0
-    while stash_bound(x) > eta1:
+    while stash_bound(x) > 2.0 ** -32:
         x += 1
     return x
 
 
 @dataclass(frozen=True)
 class OramConfig:
-    """Geometry and stash limit of one ORAM store.
-
-    ``stash_limit`` defaults to ``default_stash_limit()``, the smallest
-    size whose overflow probability bound is below ``2^-32``; that bound
-    holds for ``Z = 5``.
-    """
+    """Size of one ORAM store: how many blocks, of how many bytes."""
 
     capacity: int
     block_payload: int
-    Z: int = 5
-    stash_limit: int | None = None
 
     def __post_init__(self):
-        if self.Z < 1:
-            raise ParameterError("bucket size Z must be >= 1")
         if self.capacity < 1:
             raise ParameterError("capacity must be >= 1")
         if self.block_payload < 1:
             raise ParameterError("block payload must be >= 1 byte")
-        if self.stash_limit is not None and self.stash_limit < 1:
-            raise ParameterError("stash limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,14 +136,13 @@ class OramState:
         self._cipher = cipher(key.data)  # owned here, dropped with the state
         self.store = store
         self.rng = rng
-        self.L = math.ceil(math.log2(max(2, math.ceil(config.capacity / config.Z))))
+        self.L = math.ceil(math.log2(max(2, math.ceil(config.capacity / Z))))
         self.leaves = 1 << self.L
         self.n_buckets = 2 * self.leaves - 1
         self.body_size = ADDR_SIZE + config.block_payload
-        self.bucket_plain = config.Z * self.body_size
+        self.bucket_plain = Z * self.body_size
         self.bucket_bytes = sealed_size(self.bucket_plain)
-        self.stash_limit = (config.stash_limit if config.stash_limit is not None
-                            else default_stash_limit())
+        self.stash_limit = default_stash_limit()
         self.pos = [rng.randrange(self.leaves) for _ in range(config.capacity)]
         self.stash: dict[int, bytes] = {}
         self.stash_peak = 0
@@ -168,43 +156,20 @@ class OramState:
 
     def access(self, op: AccessOp) -> bytes | None:
         """Single access: one path read, one path write-back."""
-        return self._transact([op])[0]
+        return self.batch_access([op])[0]
 
     def batch_access(self, ops: list[AccessOp]) -> list[bytes | None]:
         """Run ``ops`` with the outputs of sequential accesses in exactly
         two storage round trips (one multi-path read, one write-back)."""
-        return self._transact(ops)
-
-    # -- internals --------------------------------------------------------
-
-    def _path_buckets(self, leaf: int) -> list[int]:
-        L = self.L
-        return [(1 << d) - 1 + (leaf >> (L - d)) for d in range(L + 1)]
-
-    def _draw_leaf(self) -> int:
-        return self.rng.randrange(self.leaves)
-
-    def _transact(self, ops: list[AccessOp]) -> list[bytes | None]:
         if self.overflowed:
             raise StashOverflowError("stash overflowed earlier; this ORAM refuses access")
         if not ops:
             raise ParameterError("access batch must be nonempty")
-        capacity, payload = self.config.capacity, self.config.block_payload
         for op in ops:
-            if not 0 <= op.addr < capacity:
-                raise AddressError(f"address {op.addr} outside [0, {capacity})")
-            if op.data is not None and len(op.data) != payload:
-                raise ParameterError(
-                    f"write data is {len(op.data)} bytes, block payload is {payload}")
+            self._check_block(op.addr, op.data)
 
-        distinct: list[int] = []
-        seen: set[int] = set()
-        for op in ops:
-            if op.addr not in seen:
-                seen.add(op.addr)
-                distinct.append(op.addr)
-        read_leaves = [self.pos[a] for a in distinct]
-        bucket_ids = sorted({b for leaf in read_leaves for b in self._path_buckets(leaf)})
+        bucket_ids = sorted({b for a in {op.addr for op in ops}
+                             for b in self._path_buckets(self.pos[a])})
         if self._pending is not None:
             self._flush()
 
@@ -212,7 +177,7 @@ class OramState:
         for blob in blobs:
             if len(blob) != self.bucket_bytes:
                 raise StorageError(f"bucket value has {len(blob)} bytes, expected {self.bucket_bytes}")
-        total = len(bucket_ids) * self.config.Z
+        total = len(bucket_ids) * Z
         bodies = open_slots(self._cipher, blobs, len(bucket_ids), self.bucket_plain)
 
         # pull every real block on the fetched paths into the stash
@@ -238,6 +203,25 @@ class OramState:
         self._check_stash()
         return results
 
+    # -- internals --------------------------------------------------------
+
+    def _check_block(self, addr: int, data: bytes | None) -> None:
+        """Reject an address outside the capacity, or data that is not
+        exactly one block payload long."""
+        capacity, payload = self.config.capacity, self.config.block_payload
+        if not 0 <= addr < capacity:
+            raise AddressError(f"address {addr} outside [0, {capacity})")
+        if data is not None and len(data) != payload:
+            raise ParameterError(f"block {addr} is {len(data)} bytes, "
+                                 f"block payload is {payload}")
+
+    def _path_buckets(self, leaf: int) -> list[int]:
+        L = self.L
+        return [(1 << d) - 1 + (leaf >> (L - d)) for d in range(L + 1)]
+
+    def _draw_leaf(self) -> int:
+        return self.rng.randrange(self.leaves)
+
     def _flush(self) -> None:
         """Store the pending write-back. On failure it stays pending, to
         be re-sent before the next access."""
@@ -258,7 +242,7 @@ class OramState:
             for addr, data in blocks:
                 parts.append(addr.to_bytes(ADDR_SIZE, "big"))
                 parts.append(data)
-            parts.extend([self._dummy_body] * (self.config.Z - len(blocks)))
+            parts.extend([self._dummy_body] * (Z - len(blocks)))
         n = len(bucket_ids)
         sealed = seal_slots(self._cipher, b"".join(parts), fresh_nonces(n), n,
                             self.bucket_plain)
@@ -274,63 +258,28 @@ class OramState:
             raise StashOverflowError(f"stash holds {size} blocks, limit {self.stash_limit}")
 
     def _evict(self, bucket_ids: list[int]):
-        """Greedy write-back: fill fetched buckets deepest-first, each
-        block going as deep as its leaf assignment allows."""
-        items = list(self.stash.items())
-        n = len(items)
-        pos = self.pos
-        positions = [pos[a] for a, _ in items]
-        order = sorted(range(n), key=positions.__getitem__)
-        spos = [positions[i] for i in order]
-        taken = [False] * n
-        nxt = list(range(n + 1))  # skip list over sorted order
-
-        def find(i: int) -> int:
-            while nxt[i] != i:
-                nxt[i] = nxt[nxt[i]]
-                i = nxt[i]
-            return i
-
-        L, Z = self.L, self.config.Z
+        """Greedy write-back into the fetched buckets, one pass per level
+        from the leaves up: a block, taken in leaf order, enters its bucket
+        at that level if it was fetched and has room, else it waits.
+        Returns the blocks left over, in stash order, and the placement."""
+        L, pos, stash = self.L, self.pos, self.stash
+        fetched = set(bucket_ids)
+        waiting = sorted(stash, key=pos.__getitem__)
         placed: dict[int, list[tuple[int, bytes]]] = {}
-        for bid in reversed(bucket_ids):  # ids grow with depth
-            d = (bid + 1).bit_length() - 1
-            shift = L - d
-            lo = (bid - ((1 << d) - 1)) << shift
-            hi = lo + (1 << shift)
-            got: list[tuple[int, bytes]] = []
-            i = find(bisect_left(spos, lo))
-            while i < n and spos[i] < hi:
-                j = order[i]
-                got.append(items[j])
-                taken[j] = True
-                nxt[i] = i + 1
-                if len(got) == Z:
-                    break
-                i = find(i + 1)
-            if got:
-                placed[bid] = got
-        new_stash = {a: p for j, (a, p) in enumerate(items) if not taken[j]}
-        return new_stash, placed
-
-    # -- test support ------------------------------------------------------
-
-    def tree_blocks(self) -> dict[int, int]:
-        """Decrypt the whole server tree; returns {address: bucket id}.
-
-        White-box helper for invariant checks; never used by protocols.
-        """
-        blobs = self.store.batch_get(self._bucket_keys)
-        total = self.n_buckets * self.config.Z
-        bodies = open_slots(self._cipher, blobs, self.n_buckets, self.bucket_plain)
-        found: dict[int, int] = {}
-        for i in range(total):
-            addr = int.from_bytes(bodies[i * self.body_size:i * self.body_size + ADDR_SIZE], "big")
-            if addr != DUMMY_ADDR:
-                if addr in found:
-                    raise AssertionError(f"address {addr} stored twice")
-                found[addr] = i // self.config.Z
-        return found
+        for d in range(L, -1, -1):
+            base, shift = (1 << d) - 1, L - d
+            still: list[int] = []
+            for a in waiting:
+                bid = base + (pos[a] >> shift)
+                if bid in fetched:
+                    got = placed.setdefault(bid, [])
+                    if len(got) < Z:
+                        got.append((a, stash[a]))
+                        continue
+                still.append(a)
+            waiting = still
+        left = set(waiting)
+        return {a: p for a, p in stash.items() if a in left}, placed
 
 
 def oram_init(config: OramConfig, key: SymKey, store: Kvs,
@@ -342,20 +291,16 @@ def oram_init(config: OramConfig, key: SymKey, store: Kvs,
     checked before storage is touched. Probes the root bucket with a
     one-key batch read, which must miss. Then places every block on the
     path to its position (drawn with the rest of the position map) by
-    the greedy rule of a write-back over all buckets, and writes all
-    ``2^(L+1) - 1`` buckets, each sealed once under a fresh nonce, in
-    one batch. Blocks that fit nowhere stay in the stash; more than
-    ``stash_limit`` of them raise ``StashOverflowError`` after the
-    upload, as a write-back does.
+    the write-back over all buckets, and writes all ``2^(L+1) - 1``
+    buckets, each sealed once under a fresh nonce, in one batch. Blocks
+    that fit nowhere stay in the stash; more than ``stash_limit`` of
+    them raise ``StashOverflowError`` after the upload, as a write-back
+    does.
     """
     state = OramState(config, key, store, rng, namespace)
     initial: dict[int, bytes] = {}
     for addr, data in blocks:
-        if not 0 <= addr < config.capacity:
-            raise AddressError(f"address {addr} outside [0, {config.capacity})")
-        if len(data) != config.block_payload:
-            raise ParameterError(f"block {addr} is {len(data)} bytes, "
-                                 f"block payload is {config.block_payload}")
+        state._check_block(addr, data)
         if addr in initial:
             raise ParameterError(f"address {addr} given twice")
         initial[addr] = data

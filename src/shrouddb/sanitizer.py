@@ -223,29 +223,22 @@ def canonical_cover(a: int, b: int, height: int, k: int) -> list[tuple[int, int]
     if not 0 <= a <= b < k ** height:
         raise ParameterError(f"leaf range [{a}, {b}] invalid for height {height}")
     left: list[tuple[int, int]] = []
-    right_batches: list[list[tuple[int, int]]] = []
+    right: list[tuple[int, int]] = []  # right to left
     lo, hi, level = a, b, height
     while level > 0:
-        if lo % k != 0:
-            upto = min(hi, lo - lo % k + k - 1)
-            left.extend((level, i) for i in range(lo, upto + 1))
-            lo = upto + 1
-            if lo > hi:
-                break
-        if (hi + 1) % k != 0:
-            downto = max(lo, hi - hi % k)
-            right_batches.append([(level, i) for i in range(downto, hi + 1)])
-            hi = downto - 1
-            if lo > hi:
-                break
+        while lo % k and lo <= hi:
+            left.append((level, lo))
+            lo += 1
+        while (hi + 1) % k and lo <= hi:
+            right.append((level, hi))
+            hi -= 1
+        if lo > hi:
+            break
         lo //= k
         hi //= k
         level -= 1
-    mid = [(level, i) for i in range(lo, hi + 1)] if lo <= hi else []
-    right: list[tuple[int, int]] = []
-    for batch in reversed(right_batches):
-        right.extend(batch)
-    return left + mid + right
+    mid = [(level, i) for i in range(lo, hi + 1)]
+    return left + mid + right[::-1]
 
 
 def sanitizer_query(ds: PointHistogram | AggregateTree, a: int, b: int) -> int:

@@ -192,29 +192,40 @@ class RemoteKvs(Kvs):
     pairs, so one handle may be shared by several threads (as when a
     caller passes it to ``engine.setup`` with m > 1); the engine's own
     ``remote=HOST:PORT`` spec opens one handle per ORAM instead, so
-    their batches travel in parallel. A transport failure closes the
-    handle, so a late reply is never read as the answer to a later
-    request.
+    their batches travel in parallel. A transport failure drops the
+    connection, so a late reply is never read as the answer to a later
+    request, and the next call opens a fresh one. Only ``close`` is
+    final.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
-        try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError as exc:
-            raise StorageError(f"cannot connect to {host}:{port}: {exc}") from exc
+        self._endpoint = (host, port)
+        self._timeout = timeout
         self._lock = threading.Lock()
         self._closed = False
+        self._sock: socket.socket | None = self._connect()
+
+    def _connect(self) -> socket.socket:
+        try:
+            sock = socket.create_connection(self._endpoint, timeout=self._timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            host, port = self._endpoint
+            raise StorageError(f"cannot connect to {host}:{port}: {exc}") from exc
+        return sock
 
     def _call(self, opcode: int, payload: bytes) -> tuple[int, bytes]:
         with self._lock:
             if self._closed:
                 raise StorageClosedError("handle is closed")
+            if self._sock is None:
+                self._sock = self._connect()
+            sock = self._sock
             try:
-                wire.send_request(self._sock, opcode, payload)
-                return wire.read_response(self._sock, opcode)
+                wire.send_request(sock, opcode, payload)
+                return wire.read_response(sock, opcode)
             except (ConnectionError, OSError, ValueError) as exc:
-                self.close()
+                self._drop()
                 raise StorageError(f"transport failure: {exc}") from exc
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
@@ -244,10 +255,14 @@ class RemoteKvs(Kvs):
             raise StorageError(payload.decode(errors="replace"))
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
+        self._closed = True
+        self._drop()
+
+    def _drop(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
             try:
-                self._sock.close()
+                sock.close()
             except OSError:
                 pass
 

@@ -6,6 +6,8 @@ import sys
 import pytest
 from hypothesis import HealthCheck, settings
 
+from shrouddb.oram import ADDR_SIZE, DUMMY_ADDR, Z
+from shrouddb.slots import open_slots
 from shrouddb.storage import MAX_INDEX, MemoryKvs
 
 settings.register_profile(
@@ -64,3 +66,18 @@ class LeafRecordingKvs(MemoryKvs):
 def leaf_kvs():
     """Factory of ``LeafRecordingKvs`` stores."""
     return LeafRecordingKvs
+
+
+def tree_blocks(st) -> dict[int, int]:
+    """Decrypt the whole server tree of ORAM ``st``; returns {address:
+    bucket id}, and fails if an address is stored twice."""
+    blobs = st.store.batch_get(st._bucket_keys)
+    bodies = open_slots(st._cipher, blobs, st.n_buckets, st.bucket_plain)
+    found: dict[int, int] = {}
+    for i in range(st.n_buckets * Z):
+        at = i * st.body_size
+        addr = int.from_bytes(bodies[at:at + ADDR_SIZE], "big")
+        if addr != DUMMY_ADDR:
+            assert addr not in found, f"address {addr} stored twice"
+            found[addr] = i // Z
+    return found

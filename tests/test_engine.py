@@ -10,9 +10,10 @@ from scipy import stats
 
 from shrouddb import slots
 from shrouddb.bptree import lookup
-from shrouddb.crypto import SymKey, partition_of
+from shrouddb.crypto import SymKey, keygen, partition_of
 from shrouddb.data import Database, Query, Record, point_query, range_query
 from shrouddb.engine import (
+    AES_BITS,
     EngineConfig,
     _noise_addresses,
     compute_gamma,
@@ -31,6 +32,7 @@ from shrouddb.errors import (
     StorageClosedError,
     StorageNotEmptyError,
 )
+from shrouddb.rng import derive_stream
 from shrouddb.slots import open_slots
 from shrouddb.storage import INDEX_BITS, Kvs, MemoryKvs, bucket_key
 
@@ -225,7 +227,8 @@ def test_seedless_setups_draw_fresh_keys():
     states = [setup(db, config(m=2, budget=2 * LN2), MemoryKvs()) for _ in range(2)]
     try:
         a, b = states
-        assert a.seed is None and a.hash_key != b.hash_key
+        # fresh partition keys: 300 records split alike with chance 2^-300
+        assert a.seed is None and a.oram_of.tolist() != b.oram_of.tolist()
         for x, y in zip(a.orams, b.orams):  # fresh ORAM keys: y cannot open x's root
             root = x.store.batch_get(x._bucket_keys[:1])
             with pytest.raises(AuthenticationError):
@@ -600,10 +603,11 @@ def test_index_agrees_with_partition():
     try:
         pos = lookup(state.indexes["key"], range_query(0, state.config.domain - 1))
         assert sorted(pos.tolist()) == list(range(len(db)))
+        hash_key = keygen(AES_BITS, derive_stream(2, "key:hash"))  # as setup draws it
         placed = [0, 0, 0]  # records seen so far per ORAM
         for i, r in enumerate(db.records):
             j = int(state.oram_of[i])
-            assert j == partition_of(state.hash_key, r.rid, 3)
+            assert j == partition_of(hash_key, r.rid, 3)
             assert state.addr[i] == placed[j - 1]  # its place within its partition
             placed[j - 1] += 1
         assert placed == state.n_per
@@ -644,9 +648,9 @@ def test_closed_state_holds_no_key_material():
         return found
 
     state = setup(small_db(), config(m=2), MemoryKvs(), seed=4)
-    assert keys_reachable(state) >= 3  # two ORAM ciphers and the partition key
+    assert keys_reachable(state) == 2  # two ORAM ciphers; setup kept no partition key
     state.close()
     assert keys_reachable(state) == 0
-    assert state.orams == [] and state.hash_key is None
+    assert state.orams == []
     with pytest.raises(QueryError, match="closed"):
         query(state, range_query(0, 5))

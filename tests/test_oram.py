@@ -1,11 +1,13 @@
 import errno
 import math
 import random
+from collections import Counter
 
 import pytest
+from conftest import tree_blocks
 from hypothesis import given, settings, strategies as st
 
-from shrouddb import oram
+from shrouddb import oram, wire
 from shrouddb.crypto import keygen
 from shrouddb.errors import (
     AddressError,
@@ -18,6 +20,7 @@ from shrouddb.errors import (
 )
 from shrouddb.oram import (
     DUMMY_ADDR,
+    Z,
     AccessOp,
     OramConfig,
     default_stash_limit,
@@ -27,20 +30,20 @@ from shrouddb.oram import (
     write_op,
 )
 from shrouddb.slots import open_slots
-from shrouddb.storage import CountingKvs, DiskKvs, MemoryKvs, bucket_key
+from shrouddb.storage import CountingKvs, DiskKvs, MemoryKvs, RemoteKvs, bucket_key
 
 
-def make(capacity=32, payload=16, seed=7, Z=5, store=None, blocks=(), **kw):
+def make(capacity=32, payload=16, seed=7, store=None, blocks=()):
     rng = random.Random(seed)
     key = keygen(128, rng)
-    return oram_init(OramConfig(capacity=capacity, block_payload=payload, Z=Z, **kw),
+    return oram_init(OramConfig(capacity=capacity, block_payload=payload),
                      key, store if store is not None else MemoryKvs(), rng, blocks=blocks)
 
 
 # -- geometry ---------------------------------------------------------------
 
 def test_tree_shape_examples():
-    st20 = make(capacity=20, payload=24, Z=5)
+    st20 = make(capacity=20, payload=24)
     assert st20.L == 2
     assert st20.n_buckets == 7
 
@@ -51,21 +54,21 @@ def test_tree_shape_examples():
 
 def test_init_writes_full_dummy_tree():
     kvs = CountingKvs(MemoryKvs())
-    st = make(capacity=20, payload=24, Z=5, store=kvs)
+    st = make(capacity=20, payload=24, store=kvs)
     assert len(kvs.inner.batch_get([bucket_key(i) for i in range(7)])) == 7
     with pytest.raises(BatchError):
         kvs.inner.batch_get([bucket_key(7)])
     assert kvs.counters.roundtrips == 2  # one-key emptiness probe + one batch upload
     assert kvs.counters.bytes_up == 8 + 7 * (8 + st.bucket_bytes)
-    assert st.tree_blocks() == {}  # 35 slots, all dummies
+    assert tree_blocks(st) == {}  # 35 slots, all dummies
 
 
 def test_init_places_blocks_on_their_paths():
     payload = 12
     r = random.Random(11)
     blocks = [(a, r.randbytes(payload)) for a in r.sample(range(400), 300)]
-    st = make(capacity=400, payload=payload, Z=4, blocks=blocks)
-    tree = st.tree_blocks()
+    st = make(capacity=400, payload=payload, blocks=blocks)
+    tree = tree_blocks(st)
     assert not set(tree) & set(st.stash)
     assert sorted(list(tree) + list(st.stash)) == sorted(a for a, _ in blocks)
     for addr, bid in tree.items():
@@ -92,13 +95,15 @@ def test_init_overflow_refuses_later_access(monkeypatch):
 
     monkeypatch.setattr(oram, "OramState", Recorded)
     kvs = CountingKvs(MemoryKvs())
-    cfg = OramConfig(capacity=16, block_payload=4, Z=1, stash_limit=1)
-    # every block on leaf 0, whose path holds L + 1 = 5 of the 16
+    cfg = OramConfig(capacity=100, block_payload=4)
+    # every block on leaf 0, whose path of L + 1 = 6 buckets holds 30 of
+    # the 100; the other 70 exceed the stash limit of 49
     with pytest.raises(StashOverflowError):
         oram_init(cfg, keygen(128, random.Random(1)), kvs, LeafZero(),
-                  blocks=[(a, bytes(4)) for a in range(16)])
+                  blocks=[(a, bytes(4)) for a in range(100)])
     (st,) = made
-    assert st.overflowed and len(st.stash) == 16 - (st.L + 1)
+    assert (st.L + 1) * Z == 30 and st.stash_limit == 49
+    assert st.overflowed and len(st.stash) == 70
     before = kvs.counters.snapshot()
     with pytest.raises(StashOverflowError):
         st.access(read_op(0))
@@ -178,10 +183,6 @@ def test_config_validation():
         OramConfig(capacity=0, block_payload=8)
     with pytest.raises(ParameterError):
         OramConfig(capacity=4, block_payload=0)
-    with pytest.raises(ParameterError):
-        OramConfig(capacity=4, block_payload=8, Z=0)
-    with pytest.raises(ParameterError):
-        OramConfig(capacity=4, block_payload=8, stash_limit=0)
 
 
 # -- the access protocol ------------------------------------------------------
@@ -246,7 +247,7 @@ def test_path_invariant_after_workload(rng):
             st.access(write_op(a, rng.randbytes(8)))
         else:
             st.access(read_op(a))
-    tree = st.tree_blocks()
+    tree = tree_blocks(st)
     # every stored block sits on the path of its mapped leaf, and no
     # address is both on the server and in the stash
     assert not set(tree) & set(st.stash)
@@ -316,16 +317,16 @@ def test_mutant_remap_disabled_pins_leaf():
 
 
 def test_stash_overflow_is_reported():
-    # pin every block to leaf 0: one path can hold (L+1)*Z blocks, the
-    # rest must pile up in the stash and trip the limit
+    # pin every block to leaf 0: its path holds (L+1)*Z = 30 blocks, the
+    # rest pile up in the stash until it passes the limit of 49
     kvs = CountingKvs(MemoryKvs())
-    st = make(capacity=64, payload=8, stash_limit=1, store=kvs)
+    st = make(capacity=100, payload=8, store=kvs)
     st._draw_leaf = lambda: 0
-    st.pos = [0] * 64
+    st.pos = [0] * 100
     with pytest.raises(StashOverflowError):
-        for i in range(64):
+        for i in range(100):
             st.access(write_op(i, bytes(8)))
-    assert st.overflowed
+    assert st.overflowed and i == 79 and len(st.stash) == 50
     # once overflowed, the ORAM refuses before it touches storage
     before = kvs.counters.snapshot()
     with pytest.raises(StashOverflowError):
@@ -404,7 +405,37 @@ def test_write_back_failure_is_resent(fault, tmp_path):
     for lo in range(0, n, 200):
         got = st.batch_access([read_op(a) for a in range(lo, lo + 200)])
         assert got == [values[a] for a in range(lo, lo + 200)]
-    assert len(st.tree_blocks()) + len(st.stash) == n  # no address stored twice
+    assert len(tree_blocks(st)) + len(st.stash) == n  # no address stored twice
+    kvs.close()
+
+
+def test_lost_write_back_reply_is_resent_over_a_new_connection(server, monkeypatch):
+    """The server applies a write-back but its reply is lost: the remote
+    handle drops the connection, the next access re-sends the write-back
+    over a fresh one, and every record reads back its value."""
+    kvs = RemoteKvs(*server)
+    n = 300
+    values = {a: a.to_bytes(8, "big") for a in range(n)}
+    st = make(capacity=n, payload=8, store=kvs, blocks=values.items())
+    real = wire.read_response
+    lost = []
+
+    def lose_one_put_reply(sock, opcode):
+        reply = real(sock, opcode)  # the server has applied the batch
+        if opcode == wire.OP_BATCH_PUT and not lost:
+            lost.append(sock)
+            raise ConnectionResetError("reply lost")
+        return reply
+
+    monkeypatch.setattr(wire, "read_response", lose_one_put_reply)
+    with pytest.raises(BatchError, match="re-sent"):
+        st.batch_access([write_op(7, b"seventh!"), read_op(3)])
+    values[7] = b"seventh!"
+    assert lost[0].fileno() == -1  # that connection is closed
+    assert st.access(read_op(0)) == values[0]
+    assert st._pending is None
+    assert st.batch_access([read_op(a) for a in range(n)]) == [values[a] for a in range(n)]
+    assert len(tree_blocks(st)) + len(st.stash) == n  # no address stored twice
     kvs.close()
 
 
@@ -447,7 +478,44 @@ def test_default_stash_limit():
     assert default_stash_limit() == 49
     assert stash_bound(49) <= 2.0 ** -32
     assert stash_bound(48) > 2.0 ** -32
-    assert default_stash_limit(0.5) < 49
+
+
+class LastPutKvs(MemoryKvs):
+    """A store that keeps the keys of its last batch put: for an ORAM,
+    the buckets the last write-back fetched and rewrote."""
+
+    last_put: list[bytes] = []
+
+    def batch_put(self, pairs):
+        super().batch_put(pairs)
+        self.last_put = [k for k, _ in pairs]
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 60), st.integers(0, 2**31), st.sampled_from([None, 1, 2]),
+       st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_eviction_is_greedy_from_the_leaves_up(capacity, seed, crowd, sizes):
+    """After any batch, every fetched bucket on a block's path that is
+    deeper than where the block ended up (its bucket, or the stash)
+    holds Z blocks. ``crowd`` remaps onto the first one or two leaves
+    only, so that buckets fill up."""
+    r = random.Random(seed)
+    kvs = LastPutKvs()
+    st = oram_init(OramConfig(capacity=capacity, block_payload=4), keygen(128, r), kvs, r,
+                   blocks=[(a, bytes(4)) for a in range(0, capacity, 2)])
+    if crowd:
+        st._draw_leaf = lambda: r.randrange(min(crowd, st.leaves))
+    for size in sizes:
+        st.batch_access([write_op(r.randrange(capacity), bytes(4)) if r.random() < 0.5
+                         else read_op(r.randrange(capacity)) for _ in range(size)])
+        fetched = {int.from_bytes(k, "big") for k in kvs.last_put}
+        tree = tree_blocks(st)
+        load = Counter(tree.values())
+        for addr in list(tree) + list(st.stash):
+            depth = (tree[addr] + 1).bit_length() - 1 if addr in tree else -1
+            for d in range(depth + 1, st.L + 1):
+                bid = (1 << d) - 1 + (st.pos[addr] >> (st.L - d))
+                assert bid not in fetched or load[bid] == Z, (addr, depth, d)
 
 
 def test_dummy_addr_is_reserved():

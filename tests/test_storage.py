@@ -304,22 +304,26 @@ def test_malformed_remote_response_is_a_storage_error(reply):
         t.join(timeout=10)
 
 
-def test_remote_transport_failure_closes_the_handle():
+def test_remote_transport_failure_drops_the_connection():
     """A reply that arrives after the timeout is never read as the answer
-    to the next request: the failed call closes the connection."""
+    to the next request: the failed call drops its connection, and the
+    next call opens a fresh one. Only ``close`` is final."""
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()
 
     def serve():
-        conn, _ = listener.accept()
-        with conn, listener:
-            op, _ = wire.read_request(conn)
-            time.sleep(0.5)  # past the client's timeout
-            try:
-                wire.send_response(conn, op, wire.ST_OK, wire.pack_values([b"late"]))
-                conn.recv(1)
-            except OSError:  # the client has gone, as it should
-                pass
+        with listener:
+            for value in (b"late", b"fresh"):
+                conn, _ = listener.accept()
+                with conn:
+                    op, _ = wire.read_request(conn)
+                    if value == b"late":
+                        time.sleep(0.5)  # past the client's timeout
+                    try:
+                        wire.send_response(conn, op, wire.ST_OK, wire.pack_values([value]))
+                        conn.recv(1)  # until the client hangs up
+                    except OSError:  # the client has gone, as it should
+                        pass
 
     t = threading.Thread(target=serve, daemon=True)
     t.start()
@@ -327,8 +331,11 @@ def test_remote_transport_failure_closes_the_handle():
     try:
         with pytest.raises(StorageError, match="transport failure"):
             kvs.batch_get([k(1)])
+        time.sleep(0.7)  # the late reply is sent to the dropped connection
+        assert kvs.batch_get([k(2)]) == [b"fresh"]
+        kvs.close()
         with pytest.raises(StorageClosedError):
-            kvs.batch_get([k(2)])
+            kvs.batch_get([k(3)])
     finally:
         kvs.close()
         t.join(timeout=10)
