@@ -1,14 +1,14 @@
 """Benchmark harness: synthetic workloads, metrics capture, baselines.
 
-An experiment is one engine deployment answering a fixed query list
-while a CSV row records each query's latency and observable traffic.
-The summary row adds efficiency pairs: server storage and per-query
+An experiment is one deployment answering a fixed query list while a
+CSV row records each query's latency and observable traffic. The
+summary row adds efficiency pairs: server storage and per-query
 communication, each expressed as ``a1 * payload_bytes + a2``.
 
-A linear-scan baseline answers the same queries by downloading every
-encrypted record and filtering client-side: maximal bandwidth, zero
-access-pattern leakage, no ORAM. It bounds what the volume-hiding
-engine must beat.
+The deployment is the engine or the linear-scan baseline, which
+downloads every encrypted record per query and filters on the client:
+maximal bandwidth, no ORAM, the cost the engine must beat. Both run
+through one query loop after one check of the workload's domain.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from pathlib import Path
 
 from shrouddb import slots
 from shrouddb.crypto import keygen
-from shrouddb.data import Database, Query, Record, point_query, range_query
-from shrouddb.engine import EngineConfig, EngineState, QueryResult, query, setup
-from shrouddb.errors import DataError, ParameterError
+from shrouddb.data import (RECORD_HEADER, Database, Query, Record, pack_record,
+                           point_query, range_query, record_key, unpack_record)
+from shrouddb.engine import EngineConfig, QueryResult, query, setup
+from shrouddb.errors import DataError, ParameterError, QueryError
 from shrouddb.rng import derive_stream
 from shrouddb.storage import CountingKvs, bucket_key, connect
 
@@ -48,6 +49,7 @@ METRIC_FIELDS = [
     "bytes_down", "oram_accesses", "roundtrips", "failed",
     "storage_a1", "storage_a2", "comm_a1", "comm_a2",
 ]
+_COUNT_FIELDS = METRIC_FIELDS[2:9]  # the QueryResult counts; a query row's integers
 
 DISTRIBUTIONS = ("uniform", "histogram")
 SAMPLINGS = ("uniform", "cdf")
@@ -78,6 +80,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("dataset size must be >= 1")
+        if self.record_size < 1:
+            raise ParameterError("record size must be >= 1")
         if self.queries < 1:
             raise ParameterError("query count must be >= 1")
         if self.distribution not in DISTRIBUTIONS:
@@ -106,14 +110,25 @@ def _payload(seed: int, rid: int, size: int) -> bytes:
     return hashlib.shake_128(f"{seed}:{rid}".encode()).digest(size)
 
 
-def _read_histogram(path: str | Path) -> list[tuple[int, int, int]]:
-    bins: list[tuple[int, int, int]] = []
+def _int_rows(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """The named integer columns of each row of a CSV file with a header; a missing
+    column or a non-integer value is a ``DataError`` naming the file and line."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            lo, hi, count = int(row["lo"]), int(row["hi"]), int(row["count"])
-            if lo >= hi or count < 0:
-                raise DataError(f"bad histogram bin [{lo}, {hi}) x {count}")
-            bins.append((lo, hi, count))
+        reader = csv.DictReader(fh)
+        try:
+            if set(columns) <= set(reader.fieldnames or ()):
+                return [tuple(int(row[c]) for c in columns) for row in reader]
+        except (csv.Error, TypeError, ValueError):  # a short row's missing values are None
+            pass
+        raise DataError(f"{path} line {reader.line_num}: expected integer "
+                        f"columns {','.join(columns)}")
+
+
+def _read_histogram(path: str | Path) -> list[tuple[int, int, int]]:
+    bins = _int_rows(path, ("lo", "hi", "count"))
+    for lo, hi, count in bins:
+        if lo >= hi or count < 0:
+            raise DataError(f"bad histogram bin [{lo}, {hi}) x {count}")
     if not bins or all(c == 0 for _, _, c in bins):
         raise DataError("histogram has no mass")
     return bins
@@ -132,6 +147,8 @@ def generate_dataset(n: int, domain: int, record_size: int, seed: int,
     if distribution == "uniform":
         keys = [rng.randrange(domain) for _ in range(n)]
     elif distribution == "histogram":
+        if not histogram_file:
+            raise ParameterError("histogram distribution needs --histogram-file")
         bins = _read_histogram(histogram_file)
         for lo, hi, _ in bins:
             if not 0 <= lo < hi <= domain:
@@ -184,18 +201,13 @@ def write_dataset(db: Database, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "key"])
-        for r in db.records:
-            w.writerow([r.rid, r.key])
+        w.writerows((r.rid, r.key) for r in db.records)
 
 
 def read_dataset(path: str | Path, record_size: int, seed: int) -> Database:
     """Load an ``id,key`` CSV; payloads are re-derived from the seed."""
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rid = int(row["id"])
-            records.append(Record(rid, int(row["key"]),
-                                  _payload(seed, rid, record_size)))
+    records = [Record(rid, key, _payload(seed, rid, record_size))
+               for rid, key in _int_rows(path, ("id", "key"))]
     if not records:
         raise DataError(f"no records in {path}")
     return Database(records)
@@ -205,16 +217,12 @@ def write_queries(queries: list[Query], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["a", "b"])
-        for q in queries:
-            w.writerow([q.a, q.b])
+        w.writerows((q.a, q.b) for q in queries)
 
 
 def read_queries(path: str | Path) -> list[Query]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            a, b = int(row["a"]), int(row["b"])
-            out.append(point_query(a) if a == b else range_query(a, b))
+    out = [point_query(a) if a == b else range_query(a, b)
+           for a, b in _int_rows(path, ("a", "b"))]
     if not out:
         raise DataError(f"no queries in {path}")
     return out
@@ -234,9 +242,7 @@ class ExperimentResult:
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=METRIC_FIELDS, lineterminator="\n")
         w.writeheader()
-        for row in self.rows:
-            w.writerow(row)
-        w.writerow(self.summary)
+        w.writerows(self.rows + [self.summary])
         return buf.getvalue()
 
     def save(self, path: str | Path) -> None:
@@ -256,18 +262,9 @@ def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
 
 
 def _metric_row(i: int, elapsed_ms: float, res: QueryResult) -> dict:
-    return {
-        "index": i,
-        "elapsed_ms": f"{elapsed_ms:.3f}",
-        "true_count": res.true_count,
-        "fetched_count": res.fetched_count,
-        "bytes_up": res.bytes_up,
-        "bytes_down": res.bytes_down,
-        "oram_accesses": res.oram_accesses,
-        "roundtrips": res.roundtrips,
-        "failed": int(res.failed),
-        "storage_a1": "", "storage_a2": "", "comm_a1": "", "comm_a2": "",
-    }
+    row = {"index": i, "elapsed_ms": f"{elapsed_ms:.3f}"}
+    row.update((f, int(getattr(res, f))) for f in _COUNT_FIELDS)
+    return row
 
 
 def _summarize(spec: ExperimentSpec, rows: list[dict], data_bytes: int,
@@ -275,26 +272,21 @@ def _summarize(spec: ExperimentSpec, rows: list[dict], data_bytes: int,
     xs = [float(r["true_count"]) * spec.record_size for r in rows]
     ys = [float(r["bytes_down"]) for r in rows]
     comm_a1, comm_a2 = _fit_line(xs, ys)
-    total = {
+    return {
         "index": "summary",
         "elapsed_ms": f"{sum(float(r['elapsed_ms']) for r in rows):.3f}",
-        "true_count": sum(int(r["true_count"]) for r in rows),
-        "fetched_count": sum(int(r["fetched_count"]) for r in rows),
-        "bytes_up": sum(int(r["bytes_up"]) for r in rows),
-        "bytes_down": sum(int(r["bytes_down"]) for r in rows),
-        "oram_accesses": sum(int(r["oram_accesses"]) for r in rows),
-        "roundtrips": sum(int(r["roundtrips"]) for r in rows),
-        "failed": sum(int(r["failed"]) for r in rows),
+        **{f: sum(r[f] for r in rows) for f in _COUNT_FIELDS},
         "storage_a1": f"{server_bytes / data_bytes:.6f}",
         "storage_a2": f"{ds_bytes:.6f}",
         "comm_a1": f"{comm_a1:.6f}",
         "comm_a2": f"{comm_a2:.6f}",
     }
-    return total
 
 
 def _resolve_workload(spec: ExperimentSpec, dataset: str | None,
                       queries_file: str | None) -> tuple[Database, list[Query]]:
+    """The records and queries of a run, every key and every query
+    checked against the spec's domain whichever deployment runs them."""
     if dataset:
         db = read_dataset(dataset, spec.record_size, spec.seed)
     else:
@@ -303,10 +295,52 @@ def _resolve_workload(spec: ExperimentSpec, dataset: str | None,
     if queries_file:
         qs = read_queries(queries_file)
     else:
-        keys = [r.key for r in db.records]
-        qs = generate_queries(spec.domain, spec.selectivity, spec.queries,
-                              spec.seed, spec.query_kind, spec.query_sampling, keys)
+        qs = generate_queries(spec.domain, spec.selectivity, spec.queries, spec.seed,
+                              spec.query_kind, spec.query_sampling, [r.key for r in db.records])
+    for r in db.records:
+        if not 0 <= r.key < spec.domain:
+            raise DataError(f"record {r.rid} key {r.key} outside [0, {spec.domain})")
+    for q in qs:
+        if not 0 <= q.a <= q.b < spec.domain:
+            raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {spec.domain})")
     return db, qs
+
+
+class _Scan:
+    """The linear-scan deployment: each record sealed as one message under a
+    key of its own; every query downloads all of them and filters locally."""
+
+    def __init__(self, spec: ExperimentSpec, db: Database, data_dir):
+        n, size = self._n, self._size = len(db), RECORD_HEADER + spec.record_size
+        self._cipher = slots.cipher(keygen(128, derive_stream(spec.seed, "scan")).data)
+        sealed = slots.seal_slots(self._cipher, b"".join(map(pack_record, db.records)),
+                                  slots.fresh_nonces(n), n, size)
+        self.server_bytes = sum(map(len, sealed))
+        self._keys = [bucket_key(i) for i in range(n)]
+        self.store = CountingKvs(connect(spec.storage, data_dir))
+        try:
+            self.store.batch_put(list(zip(self._keys, sealed)))
+        except BaseException:
+            self.store.close()
+            raise
+
+    def query(self, q: Query) -> QueryResult:
+        n, size = self._n, self._size
+        before = self.store.counters.snapshot()
+        opened = slots.open_slots(self._cipher, self.store.batch_get(self._keys), n, size)
+        hits = sorted((unpack_record(opened[j * size:(j + 1) * size]) for j in range(n)
+                       if q.a <= record_key(opened[j * size:j * size + RECORD_HEADER]) <= q.b),
+                      key=lambda r: r.rid)
+        after = self.store.counters
+        return QueryResult(
+            records=hits, true_count=len(hits), fetched_count=n,
+            failed=False, per_oram_requests=[],
+            roundtrips=after.roundtrips - before.roundtrips,
+            bytes_up=after.bytes_up - before.bytes_up,
+            bytes_down=after.bytes_down - before.bytes_down, oram_accesses=0)
+
+    def close(self) -> None:
+        self.store.close()
 
 
 def run_experiment(spec: ExperimentSpec, clock=None, dataset: str | None = None,
@@ -315,76 +349,26 @@ def run_experiment(spec: ExperimentSpec, clock=None, dataset: str | None = None,
     """Set up the chosen deployment, run the workload, collect metrics."""
     clock = clock or time.perf_counter
     db, qs = _resolve_workload(spec, dataset, queries_file)
-    if spec.mode == "linear-scan":
-        return _run_scan(spec, db, qs, clock, data_dir)
-
-    config = EngineConfig(
-        domain=spec.domain, record_size=spec.record_size, m=spec.m,
-        mode=spec.mode, epsilon=spec.epsilon, beta=spec.beta,
-        fanout=spec.fanout)
-    state = setup(db, config, spec.storage, spec.seed, data_dir)
+    scan = spec.mode == "linear-scan"
+    if scan:
+        dep = _Scan(spec, db, data_dir)
+    else:
+        config = EngineConfig(
+            domain=spec.domain, record_size=spec.record_size, m=spec.m,
+            mode=spec.mode, epsilon=spec.epsilon, beta=spec.beta,
+            fanout=spec.fanout)
+        dep = setup(db, config, spec.storage, spec.seed, data_dir)
     try:
         rows: list[dict] = []
         answers: list[list[int]] = []
-        failed = 0
         for i, q in enumerate(qs):
             t0 = clock()
-            res = query(state, q)
-            elapsed_ms = (clock() - t0) * 1000.0
-            rows.append(_metric_row(i, elapsed_ms, res))
+            res = dep.query(q) if scan else query(dep, q)
+            rows.append(_metric_row(i, (clock() - t0) * 1000.0, res))
             answers.append([r.rid for r in res.records])
-            failed += res.failed
-        summary = _summarize(spec, rows, len(db) * spec.record_size,
-                             state.oram_storage_bytes(), state.sanitizer_bytes())
+        stored = ((dep.server_bytes, 0) if scan
+                  else (dep.oram_storage_bytes(), dep.sanitizer_bytes()))
+        summary = _summarize(spec, rows, len(db) * spec.record_size, *stored)
     finally:
-        state.close()
-    return ExperimentResult(spec, rows, summary, failed, answers)
-
-
-def _run_scan(spec: ExperimentSpec, db: Database, qs: list[Query], clock,
-              data_dir) -> ExperimentResult:
-    """Baseline: every query downloads all records and filters locally."""
-    cipher = slots.cipher(keygen(128, derive_stream(spec.seed, "scan")).data)
-    store = CountingKvs(connect(spec.storage, data_dir))
-    counters = store.counters
-    body = 16 + spec.record_size  # rid, key, payload
-    try:
-        plain = b"".join(r.rid.to_bytes(8, "big") + r.key.to_bytes(8, "big") + r.payload
-                         for r in db.records)
-        sealed = slots.seal_slots(cipher, plain, slots.fresh_nonces(len(db)),
-                                  len(db), body)
-        all_keys = [bucket_key(i) for i in range(len(db))]
-        store.batch_put(list(zip(all_keys, sealed)))
-        server_bytes = sum(map(len, sealed))
-
-        rows: list[dict] = []
-        answers: list[list[int]] = []
-        for i, q in enumerate(qs):
-            t0 = clock()
-            before = counters.snapshot()
-            blobs = store.batch_get(all_keys)
-            opened = slots.open_slots(cipher, blobs, len(db), body)
-            hits: list[Record] = []
-            for j in range(len(db)):
-                off = j * body
-                k = int.from_bytes(opened[off + 8:off + 16], "big")
-                if q.a <= k <= q.b:
-                    rid = int.from_bytes(opened[off:off + 8], "big")
-                    hits.append(Record(rid, k, opened[off + 16:off + body]))
-            hits.sort(key=lambda r: r.rid)
-            elapsed_ms = (clock() - t0) * 1000.0
-            snap = counters.snapshot()
-            res = QueryResult(
-                records=hits, true_count=len(hits), fetched_count=len(db),
-                failed=False, per_oram_requests=[],
-                roundtrips=snap.roundtrips - before.roundtrips,
-                bytes_up=snap.bytes_up - before.bytes_up,
-                bytes_down=snap.bytes_down - before.bytes_down,
-                oram_accesses=0)
-            rows.append(_metric_row(i, elapsed_ms, res))
-            answers.append([r.rid for r in hits])
-        summary = _summarize(spec, rows, len(db) * spec.record_size,
-                             server_bytes, 0)
-    finally:
-        store.close()
-    return ExperimentResult(spec, rows, summary, 0, answers)
+        dep.close()
+    return ExperimentResult(spec, rows, summary, summary["failed"], answers)

@@ -1,4 +1,5 @@
-"""Plain data model shared by the engine, index, and benchmarks."""
+"""Plain data model shared by the engine, index, and benchmarks, and
+a record's stored layout, ``rid(8) || key(8) || payload`` (big-endian)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ from dataclasses import dataclass, field
 
 from shrouddb.errors import DataError, ParameterError
 
-__all__ = ["Record", "Database", "Query"]
+__all__ = ["Record", "Database", "Query", "RECORD_HEADER", "pack_record", "unpack_record",
+           "record_key"]
+
+RECORD_HEADER = 16  # rid (8) and key (8) before the payload
 
 
 @dataclass(frozen=True)
@@ -74,3 +78,18 @@ def point_query(a: int, attribute: str = "key") -> Query:
 
 def range_query(a: int, b: int, attribute: str = "key") -> Query:
     return Query(a, b, attribute)
+
+
+def pack_record(r: Record) -> bytes:
+    """``r`` in its stored layout, ``rid(8) || key(8) || payload``."""
+    return r.rid.to_bytes(8, "big") + r.key.to_bytes(8, "big") + r.payload
+
+
+def unpack_record(blob: bytes) -> Record:
+    """The record whose stored layout is ``blob``."""
+    return Record(int.from_bytes(blob[:8], "big"), record_key(blob), blob[RECORD_HEADER:])
+
+
+def record_key(blob: bytes) -> int:
+    """The key of a stored record, read without building the record."""
+    return int.from_bytes(blob[8:16], "big")

@@ -43,7 +43,7 @@ import numpy as np
 
 from shrouddb import bptree, sanitizer
 from shrouddb.crypto import keygen, partition_of
-from shrouddb.data import Database, Query, Record
+from shrouddb.data import RECORD_HEADER, Database, Query, Record, pack_record, unpack_record
 from shrouddb.errors import (
     BudgetError,
     DataError,
@@ -74,8 +74,6 @@ __all__ = [
 
 MODES = ("single", "gamma", "no-gamma")
 
-RID_SIZE = 8
-KEY_SIZE = 8
 AES_BITS = 128  # every deployment key is AES-128
 
 
@@ -196,16 +194,6 @@ def _pad_domain(domain: int, k: int) -> int:
     return n
 
 
-def _block(rid: int, key: int, payload: bytes) -> bytes:
-    return rid.to_bytes(RID_SIZE, "big") + key.to_bytes(KEY_SIZE, "big") + payload
-
-
-def _parse_block(blob: bytes) -> tuple[int, int, bytes]:
-    rid = int.from_bytes(blob[:RID_SIZE], "big")
-    key = int.from_bytes(blob[RID_SIZE:RID_SIZE + KEY_SIZE], "big")
-    return rid, key, blob[RID_SIZE + KEY_SIZE:]
-
-
 def _open_stores(config: EngineConfig, storage, data_dir):
     """One Kvs per ORAM plus one for metadata, and the ones setup opened.
 
@@ -264,14 +252,13 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
         seed=seed, meta_store=meta_store, owned_stores=owned,
         _pool=ThreadPoolExecutor(max_workers=m) if m > 1 else None,
     )
-    block_payload = RID_SIZE + KEY_SIZE + config.record_size
+    block_payload = RECORD_HEADER + config.record_size
     try:
         for j in range(1, m + 1):
             oram_key = keygen(AES_BITS, _stream(seed, f"key:oram:{j}"))
             oram_rng = _stream(seed, f"oram:{j}")
             cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload)
-            blocks = [(a, _block(r.rid, r.key, r.payload))
-                      for a, r in enumerate(groups[j - 1])]
+            blocks = [(a, pack_record(r)) for a, r in enumerate(groups[j - 1])]
             state.orams.append(oram_init(cfg, oram_key, CountingKvs(oram_stores[j - 1]),
                                          oram_rng, namespace=j - 1, blocks=blocks))
         _install_attribute(state, "key", config.epsilon)
@@ -414,10 +401,10 @@ def _query(state: EngineState, q: Query) -> QueryResult:
     found: list[Record] = []
     for j in range(m):
         for i, blob in zip(t_pos[j], blocks[j]):  # the first len(t) blocks are the matches
-            got_rid, got_key, payload = _parse_block(blob)
-            if got_rid != records[i].rid:
-                raise DataError(f"store returned record {got_rid} for id {records[i].rid}")
-            found.append(Record(got_rid, got_key, payload))
+            got = unpack_record(blob)
+            if got.rid != records[i].rid:
+                raise DataError(f"store returned record {got.rid} for id {records[i].rid}")
+            found.append(got)
     found.sort(key=lambda r: r.rid)
 
     after = [c.snapshot() for c in counters]

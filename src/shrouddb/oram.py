@@ -11,7 +11,8 @@ address to a fresh leaf, and rewrites the path level by level from the
 leaves up, each block going as deep as its leaf and the room left allow,
 so the server observes nothing but uniformly random path reads.
 
-``batch_access`` combines many accesses into exactly one multi-path
+An access is a pair ``(addr, data)``: ``data`` is ``None`` for a read
+and the new payload for a write. ``batch_access`` combines many accesses into exactly one multi-path
 read plus one multi-path write-back (two storage round trips), with all
 mixing and re-encryption done in client memory. A write-back whose
 outcome is unknown (the store raised; the server may or may not have
@@ -51,7 +52,6 @@ __all__ = [
     "DUMMY_ADDR",
     "Z",
     "OramConfig",
-    "AccessOp",
     "OramState",
     "oram_init",
     "stash_bound",
@@ -63,9 +63,6 @@ __all__ = [
 DUMMY_ADDR = (1 << 64) - 1
 ADDR_SIZE = 8
 Z = 5  # block slots per bucket; the stash bound below holds for this Z
-
-READ = "read"
-WRITE = "write"
 
 
 def stash_bound(x: int) -> float:
@@ -97,27 +94,12 @@ class OramConfig:
             raise ParameterError("block payload must be >= 1 byte")
 
 
-@dataclass(frozen=True)
-class AccessOp:
-    """One logical access: ``op`` is "read" or "write"; writes carry data."""
-
-    op: str
-    addr: int
-    data: bytes | None = None
-
-    def __post_init__(self):
-        if self.op not in (READ, WRITE):
-            raise ParameterError(f"unknown access type {self.op!r}")
-        if (self.data is not None) != (self.op == WRITE):
-            raise ParameterError("data must be present exactly when writing")
+def read_op(addr: int) -> tuple[int, None]:
+    return addr, None
 
 
-def read_op(addr: int) -> AccessOp:
-    return AccessOp(READ, addr)
-
-
-def write_op(addr: int, data: bytes) -> AccessOp:
-    return AccessOp(WRITE, addr, data)
+def write_op(addr: int, data: bytes) -> tuple[int, bytes]:
+    return addr, data
 
 
 class OramState:
@@ -154,21 +136,22 @@ class OramState:
 
     # -- protocol ---------------------------------------------------------
 
-    def access(self, op: AccessOp) -> bytes | None:
+    def access(self, op: tuple[int, bytes | None]) -> bytes | None:
         """Single access: one path read, one path write-back."""
         return self.batch_access([op])[0]
 
-    def batch_access(self, ops: list[AccessOp]) -> list[bytes | None]:
-        """Run ``ops`` with the outputs of sequential accesses in exactly
-        two storage round trips (one multi-path read, one write-back)."""
+    def batch_access(self, ops: list[tuple[int, bytes | None]]) -> list[bytes | None]:
+        """Run the ``(addr, data)`` accesses ``ops`` with the outputs of
+        sequential accesses in exactly two storage round trips (one
+        multi-path read, one write-back)."""
         if self.overflowed:
             raise StashOverflowError("stash overflowed earlier; this ORAM refuses access")
         if not ops:
             raise ParameterError("access batch must be nonempty")
-        for op in ops:
-            self._check_block(op.addr, op.data)
+        for addr, data in ops:
+            self._check_block(addr, data)
 
-        bucket_ids = sorted({b for a in {op.addr for op in ops}
+        bucket_ids = sorted({b for a in {addr for addr, _ in ops}
                              for b in self._path_buckets(self.pos[a])})
         if self._pending is not None:
             self._flush()
@@ -189,13 +172,13 @@ class OramState:
             stash[int(addrs[i])] = bodies[i * bs + ADDR_SIZE:(i + 1) * bs]
 
         results: list[bytes | None] = []
-        for op in ops:
-            if op.op == WRITE:
-                stash[op.addr] = op.data
-                results.append(None)
+        for addr, data in ops:
+            if data is None:
+                results.append(stash.get(addr, self._zeros))
             else:
-                results.append(stash.get(op.addr, self._zeros))
-            self.pos[op.addr] = self._draw_leaf()
+                stash[addr] = data
+                results.append(None)
+            self.pos[addr] = self._draw_leaf()
 
         self.stash, placed = self._evict(bucket_ids)
         self._pending = self._seal(bucket_ids, placed)

@@ -12,6 +12,7 @@ traffic. Several stores share one server by key: ``bucket_key`` puts a
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import struct
 import threading
@@ -35,9 +36,13 @@ MAX_INDEX = 1 << INDEX_BITS
 META_NAMESPACE = (1 << NAMESPACE_BITS) - 1
 
 
-def _check_key(key: bytes) -> None:
-    if not isinstance(key, bytes) or len(key) != KEY_SIZE:
-        raise ParameterError(f"keys are {KEY_SIZE}-byte strings, got {key!r}")
+def _check_keys(keys: list[bytes], op: str) -> None:
+    """Reject an empty batch, or a key that is not an 8-byte string."""
+    if not keys:
+        raise ParameterError(f"{op} requires a nonempty batch")
+    for key in keys:
+        if not isinstance(key, bytes) or len(key) != KEY_SIZE:
+            raise ParameterError(f"keys are {KEY_SIZE}-byte strings, got {key!r}")
 
 
 class Kvs:
@@ -67,10 +72,7 @@ class MemoryKvs(Kvs):
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         self._ensure_open()
-        if not keys:
-            raise ParameterError("batch_get requires at least one key")
-        for k in keys:
-            _check_key(k)
+        _check_keys(keys, "batch_get")
         with self._lock:
             missing = [k for k in keys if k not in self._data]
             if missing:
@@ -79,10 +81,7 @@ class MemoryKvs(Kvs):
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         self._ensure_open()
-        if not pairs:
-            raise ParameterError("batch_put requires at least one pair")
-        for k, _ in pairs:
-            _check_key(k)
+        _check_keys([k for k, _ in pairs], "batch_put")
         with self._lock:
             for k, v in pairs:
                 self._data[k] = bytes(v)
@@ -98,8 +97,9 @@ class DiskKvs(Kvs):
     Reopening rebuilds the index by a single forward scan; later
     records for a key shadow earlier ones. A torn record at the tail
     (a crash mid-append) is cut off on reopen, so the next append
-    starts on a record boundary. A failed write is a ``StorageError``;
-    the records appended before it stay. No compaction.
+    starts on a record boundary. A failed write is a ``StorageError``,
+    and the log is cut back to where its batch began, so the batch is
+    neither indexed nor left in the file. No compaction.
     """
 
     def __init__(self, path: str | Path):
@@ -133,17 +133,15 @@ class DiskKvs(Kvs):
         if self._file.closed:
             raise StorageClosedError("handle is closed")
 
-    def _append(self, key: bytes, value: bytes) -> None:
+    def _append(self, key: bytes, value: bytes) -> tuple[int, int]:
+        """Write one record at the end of the log; returns its index entry."""
         off = self._file.tell()
         self._file.write(key + struct.pack(">I", len(value)) + value)
-        self._index[key] = (off + KEY_SIZE + 4, len(value))
+        return off + KEY_SIZE + 4, len(value)
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         self._ensure_open()
-        if not keys:
-            raise ParameterError("batch_get requires at least one key")
-        for k in keys:
-            _check_key(k)
+        _check_keys(keys, "batch_get")
         with self._lock:
             missing = [k for k in keys if k not in self._index]
             if missing:
@@ -159,17 +157,22 @@ class DiskKvs(Kvs):
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         self._ensure_open()
-        if not pairs:
-            raise ParameterError("batch_put requires at least one pair")
-        for k, _ in pairs:
-            _check_key(k)
+        keys = [k for k, _ in pairs]
+        _check_keys(keys, "batch_put")
         with self._lock:
+            start = self._file.tell()
             try:
-                for k, v in pairs:
-                    self._append(k, v)
+                entries = [self._append(k, v) for k, v in pairs]
                 self._file.flush()
             except OSError as exc:
+                # the handle may buffer bytes its next write would flush: drop it, cut the log
+                with contextlib.suppress(OSError):  # what it cannot flush is cut anyway
+                    self._file.close()
+                self._file = open(self._path, "a+b")
+                self._file.truncate(start)
+                self._file.seek(0, 2)
                 raise StorageError(f"disk write failed: {exc}") from exc
+            self._index.update(zip(keys, entries))
 
     def close(self) -> None:
         if not self._file.closed:
@@ -229,10 +232,7 @@ class RemoteKvs(Kvs):
                 raise StorageError(f"transport failure: {exc}") from exc
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
-        if not keys:
-            raise ParameterError("batch_get requires at least one key")
-        for k in keys:
-            _check_key(k)
+        _check_keys(keys, "batch_get")
         status, payload = self._call(wire.OP_BATCH_GET, wire.pack_keys(keys))
         if status == wire.ST_OK:
             values = _decode(wire.unpack_values, payload)
@@ -246,10 +246,7 @@ class RemoteKvs(Kvs):
         raise StorageError(payload.decode(errors="replace"))
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        if not pairs:
-            raise ParameterError("batch_put requires at least one pair")
-        for k, _ in pairs:
-            _check_key(k)
+        _check_keys([k for k, _ in pairs], "batch_put")
         status, payload = self._call(wire.OP_BATCH_PUT, wire.pack_pairs(pairs))
         if status != wire.ST_OK:
             raise StorageError(payload.decode(errors="replace"))

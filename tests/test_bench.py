@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy import stats
 
+from shrouddb import cli
 from shrouddb.bench import (
     METRIC_FIELDS,
     ExperimentSpec,
@@ -228,3 +229,36 @@ def test_workload_files_feed_run(tmp_path):
                          queries_file=str(qpath))
     for q, ans in zip(qs, res.answers):
         assert ans == [r.rid for r in db.records if q.a <= r.key <= q.b]
+
+
+# -- command-line input errors -------------------------------------------------------
+
+RUN = ["run", "--n", "20", "--domain", "10", "--record-size", "8",
+       "--queries", "3", "--selectivity", "0.2"]
+GEN = ["gen-data", "--n", "10", "--domain", "10", "--distribution", "histogram"]
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (GEN, {}, "needs --histogram-file"),
+    (GEN + ["--histogram-file", "{h}"], {"h": "lo,hi,count\n0,5,x\n"},
+     "h.csv line 2: expected integer columns lo,hi,count"),
+    (RUN + ["--dataset", "{d}"], {"d": "id,key\n0,abc\n"},
+     "d.csv line 2: expected integer columns id,key"),
+    (RUN + ["--queries-file", "{q}"], {"q": "x,y\n1,2\n"},
+     "q.csv line 1: expected integer columns a,b"),
+    (RUN + ["--mode", "linear-scan", "--queries-file", "{q}"], {"q": "a,b\n5,30\n"},
+     "range [5, 30] outside domain [0, 10)"),
+    (RUN + ["--mode", "linear-scan", "--dataset", "{d}"], {"d": "id,key\n0,3\n1,50\n"},
+     "record 1 key 50 outside [0, 10)"),
+    (RUN + ["--record-size", "0", "--mode", "linear-scan"], {}, "record size must be >= 1"),
+], ids=["no-histogram-file", "histogram-row", "dataset-row", "queries-header",
+        "scan-query-domain", "scan-key-domain", "scan-record-size"])
+def test_cli_input_errors_exit_2(argv, files, message, tmp_path, capsys):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -291,7 +291,7 @@ def record_plans(state) -> dict[int, list[int]]:
     plans: dict[int, list[int]] = {}
     for j, st in enumerate(state.orams):
         def batch_access(ops, j=j, inner=st.batch_access):
-            plans[j] = [op.addr for op in ops]
+            plans[j] = [addr for addr, _ in ops]
             return inner(ops)
         st.batch_access = batch_access
     return plans

@@ -1,3 +1,4 @@
+import errno
 import random
 import socket
 import struct
@@ -112,6 +113,45 @@ def test_disk_torn_header_is_cut_on_reopen(tmp_path):
     assert d.batch_get([k(1), k(3)]) == [b"one", b"three"]
     with pytest.raises(BatchError):
         d.batch_get([k(2)])
+    d.close()
+
+
+class FullDisk:
+    """A log handle that takes ``room`` more bytes and then fails as a
+    full disk does; after the failure, writes go through again."""
+
+    def __init__(self, inner, room):
+        self.inner, self.room = inner, room
+
+    def write(self, data):
+        if self.room is not None and len(data) > self.room:
+            self.inner.write(data[:self.room])
+            self.room = None
+            raise OSError(errno.ENOSPC, "No space left on device")
+        if self.room is not None:
+            self.room -= len(data)
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_disk_failed_write_leaves_no_bytes_behind(tmp_path):
+    """A batch whose write fails partway through its first record leaves
+    the log as it was, so the same batch sent again reads back on reopen."""
+    path = tmp_path / "full.log"
+    d = DiskKvs(path)
+    old = [(k(i), b"old-%d" % i * 4) for i in range(10)]
+    new = [(k(i), b"new-%d" % i * 4) for i in range(10)]
+    d.batch_put(old)
+    d._file = FullDisk(d._file, 25)  # a 32-byte record cut after 25 bytes
+    with pytest.raises(StorageError, match="disk write failed"):
+        d.batch_put(new)
+    assert d.batch_get([k(0)]) == [old[0][1]]
+    d.batch_put(new)
+    d.close()
+    d = DiskKvs(path)
+    assert d.batch_get([key for key, _ in new]) == [v for _, v in new]
     d.close()
 
 
