@@ -169,8 +169,12 @@ def generate_queries(domain: int, selectivity: float, count: int, seed: int,
     if count < 1:
         raise ParameterError("query count must be >= 1")
     rng = derive_stream(seed, "queries")
-    if sampling == "cdf" and not data_keys:
-        raise ParameterError("cdf sampling needs data keys")
+    if sampling == "cdf":
+        if not data_keys:
+            raise ParameterError("cdf sampling needs data keys")
+        for key in data_keys:
+            if not 0 <= key < domain:
+                raise DataError(f"data key {key} outside [0, {domain})")
     out: list[Query] = []
     if kind == "point":
         for _ in range(count):
@@ -292,14 +296,14 @@ def _resolve_workload(spec: ExperimentSpec, dataset: str | None,
     else:
         db = generate_dataset(spec.n, spec.domain, spec.record_size, spec.seed,
                               spec.distribution, spec.histogram_file)
+    for r in db.records:
+        if not 0 <= r.key < spec.domain:
+            raise DataError(f"record {r.rid} key {r.key} outside [0, {spec.domain})")
     if queries_file:
         qs = read_queries(queries_file)
     else:
         qs = generate_queries(spec.domain, spec.selectivity, spec.queries, spec.seed,
                               spec.query_kind, spec.query_sampling, [r.key for r in db.records])
-    for r in db.records:
-        if not 0 <= r.key < spec.domain:
-            raise DataError(f"record {r.rid} key {r.key} outside [0, {spec.domain})")
     for q in qs:
         if not 0 <= q.a <= q.b < spec.domain:
             raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {spec.domain})")

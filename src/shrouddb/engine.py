@@ -25,10 +25,13 @@ initial blocks); there is no bulk load through the access protocol.
 With no seed, keys and all randomness come from OS entropy; a seed
 makes the whole deployment replay exactly.
 
-Storage: ORAM j keeps its buckets under key namespace ``j - 1`` and
-the serialized sanitizers go under ``META_NAMESPACE``, one
-``batch_put`` per attribute. Each touched ORAM costs a query one
-``batch_get`` and one ``batch_put``, counted by its ``CountingKvs``.
+Storage: a deployment runs on one store, the caller's ``Kvs`` or the
+one ``setup`` opens from a ``--storage`` spec (one connection for
+``remote=``). ORAM j keeps its buckets under key namespace ``j - 1``,
+behind its own ``CountingKvs``, and the serialized sanitizers go under
+``META_NAMESPACE``, one ``batch_put`` per attribute. Each touched ORAM
+costs a query one ``batch_get`` and one ``batch_put``; the pool runs
+the ORAMs' batches side by side, and the store serialises them.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from shrouddb.storage import (
     Kvs,
     bucket_key,
     connect,
-    parse_backend,
 )
 
 __all__ = [
@@ -158,19 +160,19 @@ class EngineState:
     budgets: dict[str, float]
     noise_rngs: list[random.Random]
     seed: int | None
-    meta_store: Kvs
-    owned_stores: list[Kvs] = field(default_factory=list)
+    store: Kvs
+    opened: Kvs | None = None                # the store setup opened, closed with the state
     _pool: ThreadPoolExecutor | None = None
     _busy: threading.Lock = field(default_factory=threading.Lock)
 
     def close(self) -> None:
-        """Stop the pool, close the stores setup opened and drop the keys."""
+        """Stop the pool, close the store setup opened and drop the keys."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for store in self.owned_stores:
-            store.close()
-        self.owned_stores = []
+        if self.opened is not None:
+            self.opened.close()
+            self.opened = None
         self.orams = []
 
     def __enter__(self) -> "EngineState":
@@ -192,23 +194,6 @@ def _pad_domain(domain: int, k: int) -> int:
     while n < domain:
         n *= k
     return n
-
-
-def _open_stores(config: EngineConfig, storage, data_dir):
-    """One Kvs per ORAM plus one for metadata, and the ones setup opened.
-
-    A caller-supplied store or a shared in-process one serves every
-    ORAM (each backend holds its own lock across a batch); a
-    ``remote=`` spec gets one connection per ORAM so batches can fly in
-    parallel. The ORAMs and the metadata keep apart by key namespace.
-    """
-    if isinstance(storage, Kvs):
-        return [storage] * config.m, storage, []
-    if parse_backend(storage)[0] == "remote":
-        owned = [connect(storage) for _ in range(config.m + 1)]
-        return owned[:-1], owned[-1], owned
-    shared = connect(storage, data_dir)
-    return [shared] * config.m, shared, [shared]
 
 
 def _stream(seed: int | None, label: str) -> random.Random:
@@ -243,13 +228,13 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
         groups[j - 1].append(r)
     n_per = [len(g) for g in groups]
 
-    oram_stores, meta_store, owned = _open_stores(config, storage, data_dir)
+    store = storage if isinstance(storage, Kvs) else connect(storage, data_dir)
     state = EngineState(
         config=config, db=db, orams=[],
         oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
         n_per=n_per, indexes={}, sanitizers={}, budgets={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
-        seed=seed, meta_store=meta_store, owned_stores=owned,
+        seed=seed, store=store, opened=None if store is storage else store,
         _pool=ThreadPoolExecutor(max_workers=m) if m > 1 else None,
     )
     block_payload = RECORD_HEADER + config.record_size
@@ -259,7 +244,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
             oram_rng = _stream(seed, f"oram:{j}")
             cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload)
             blocks = [(a, pack_record(r)) for a, r in enumerate(groups[j - 1])]
-            state.orams.append(oram_init(cfg, oram_key, CountingKvs(oram_stores[j - 1]),
+            state.orams.append(oram_init(cfg, oram_key, CountingKvs(store),
                                          oram_rng, namespace=j - 1, blocks=blocks))
         _install_attribute(state, "key", config.epsilon)
     except BaseException:
@@ -292,8 +277,8 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
         group = [sanitizer.build_range_sanitizer(
             column, N, k, epsilon, config.beta, rng)]
     slot = sum(map(len, state.sanitizers.values()))  # the sanitizers already stored
-    state.meta_store.batch_put([(bucket_key(slot + i, META_NAMESPACE), sanitizer.serialize(ds))
-                                for i, ds in enumerate(group)])
+    state.store.batch_put([(bucket_key(slot + i, META_NAMESPACE), sanitizer.serialize(ds))
+                           for i, ds in enumerate(group)])
     state.indexes[attribute] = index
     state.sanitizers[attribute] = group
     state.budgets[attribute] = epsilon

@@ -1,7 +1,7 @@
 """TCP key-value server speaking the shrouddb wire protocol.
 
-One thread per connection; each ORAM worker owns one connection, so no
-cross-connection ordering is promised. Every request is one batch on
+One thread per connection; a deployment opens one connection, and no
+ordering is promised across connections. Every request is one batch on
 one backend from ``shrouddb.storage``, which holds its lock across the
 batch, so no connection sees half of another's. The server is the
 modeled adversary: it sees keys, sizes, and timing, never plaintext.
@@ -21,11 +21,14 @@ from shrouddb.storage import Kvs, connect
 def _answer(kvs: Kvs, opcode: int, payload: bytes) -> tuple[int, bytes]:
     if opcode == wire.OP_BATCH_GET:
         try:
-            return wire.ST_OK, wire.pack_values(kvs.batch_get(wire.unpack_keys(payload)))
+            return wire.ST_OK, wire.pack_blobs(kvs.batch_get(wire.unpack_blobs(payload)))
         except BatchError as exc:
-            return wire.ST_MISSING, wire.pack_keys(exc.missing)
+            return wire.ST_MISSING, wire.pack_blobs(exc.missing)
     if opcode == wire.OP_BATCH_PUT:
-        kvs.batch_put(wire.unpack_pairs(payload))
+        flat = wire.unpack_blobs(payload)
+        if len(flat) % 2:
+            return wire.ST_ERROR, f"batch_put got {len(flat)} blobs, not key-value pairs".encode()
+        kvs.batch_put(list(zip(flat[::2], flat[1::2])))
         return wire.ST_OK, b""
     return wire.ST_ERROR, f"unknown opcode {opcode:#x}".encode()
 

@@ -180,25 +180,15 @@ class DiskKvs(Kvs):
             self._file.close()
 
 
-def _decode(unpack, payload: bytes):
-    """Unpack a response payload; a malformed one is a storage failure."""
-    try:
-        return unpack(payload)
-    except (struct.error, ValueError) as exc:
-        raise StorageError(f"malformed response: {exc}") from exc
-
-
 class RemoteKvs(Kvs):
     """Client for the TCP server in ``shrouddb.server``.
 
     One connection per handle. A lock serialises request/response
-    pairs, so one handle may be shared by several threads (as when a
-    caller passes it to ``engine.setup`` with m > 1); the engine's own
-    ``remote=HOST:PORT`` spec opens one handle per ORAM instead, so
-    their batches travel in parallel. A transport failure drops the
-    connection, so a late reply is never read as the answer to a later
-    request, and the next call opens a fresh one. Only ``close`` is
-    final.
+    pairs, so one handle may be shared by several threads: a deployment
+    opens one handle and its m ORAMs take turns on it. A transport
+    failure drops the connection, so a late reply is never read as the
+    answer to a later request, and the next call opens a fresh one.
+    Only ``close`` is final.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
@@ -233,21 +223,23 @@ class RemoteKvs(Kvs):
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         _check_keys(keys, "batch_get")
-        status, payload = self._call(wire.OP_BATCH_GET, wire.pack_keys(keys))
-        if status == wire.ST_OK:
-            values = _decode(wire.unpack_values, payload)
-            if len(values) != len(keys):
-                raise StorageError(f"malformed response: {len(values)} values "
-                                   f"for {len(keys)} keys")
-            return values
+        status, payload = self._call(wire.OP_BATCH_GET, wire.pack_blobs(keys))
+        if status not in (wire.ST_OK, wire.ST_MISSING):
+            raise StorageError(payload.decode(errors="replace"))
+        try:
+            blobs = wire.unpack_blobs(payload)
+        except ValueError as exc:
+            raise StorageError(f"malformed response: {exc}") from exc
         if status == wire.ST_MISSING:
-            missing = _decode(wire.unpack_keys, payload)
-            raise BatchError(f"{len(missing)} keys missing: {missing[:4]}", missing)
-        raise StorageError(payload.decode(errors="replace"))
+            raise BatchError(f"{len(blobs)} keys missing: {blobs[:4]}", blobs)
+        if len(blobs) != len(keys):
+            raise StorageError(f"malformed response: {len(blobs)} values for {len(keys)} keys")
+        return blobs
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         _check_keys([k for k, _ in pairs], "batch_put")
-        status, payload = self._call(wire.OP_BATCH_PUT, wire.pack_pairs(pairs))
+        flat = [blob for pair in pairs for blob in pair]  # the wire's [k0, v0, k1, v1, ...]
+        status, payload = self._call(wire.OP_BATCH_PUT, wire.pack_blobs(flat))
         if status != wire.ST_OK:
             raise StorageError(payload.decode(errors="replace"))
 
@@ -309,17 +301,6 @@ def bucket_key(index: int, namespace: int = 0) -> bytes:
     return ((namespace << INDEX_BITS) | index).to_bytes(KEY_SIZE, "big")
 
 
-def parse_backend(spec: str) -> tuple[str, str | None]:
-    """Parse a --storage value into (kind, endpoint-or-None)."""
-    if spec == "memory":
-        return "memory", None
-    if spec == "disk":
-        return "disk", None
-    if spec.startswith("remote="):
-        return "remote", spec.split("=", 1)[1]
-    raise ParameterError(f"unknown storage spec {spec!r}")
-
-
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     """``HOST:PORT`` as ``(host, port)``, the port in 0..65535."""
     host, _, port = endpoint.rpartition(":")
@@ -329,12 +310,14 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 
 
 def connect(spec: str, data_dir: str | Path | None = None) -> Kvs:
-    """Open a backend from a --storage spec string."""
-    kind, endpoint = parse_backend(spec)
-    if kind == "memory":
+    """Open a backend from a --storage spec: ``memory``, ``disk`` (a log
+    in ``data_dir``) or ``remote=HOST:PORT``."""
+    if spec == "memory":
         return MemoryKvs()
-    if kind == "disk":
+    if spec == "disk":
         if data_dir is None:
             raise ParameterError("disk backend requires a data directory")
         return DiskKvs(Path(data_dir) / "store.log")
-    return RemoteKvs(*parse_endpoint(endpoint))
+    if spec.startswith("remote="):
+        return RemoteKvs(*parse_endpoint(spec.removeprefix("remote=")))
+    raise ParameterError(f"unknown storage spec {spec!r}")

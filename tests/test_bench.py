@@ -236,6 +236,8 @@ def test_workload_files_feed_run(tmp_path):
 RUN = ["run", "--n", "20", "--domain", "10", "--record-size", "8",
        "--queries", "3", "--selectivity", "0.2"]
 GEN = ["gen-data", "--n", "10", "--domain", "10", "--distribution", "histogram"]
+GEN_POINTS = ["gen-queries", "--domain", "10", "--queries", "3", "--seed", "1",
+              "--query-kind", "point", "--query-sampling", "cdf", "--dataset", "{d}"]
 
 
 @pytest.mark.parametrize("argv, files, message", [
@@ -251,8 +253,9 @@ GEN = ["gen-data", "--n", "10", "--domain", "10", "--distribution", "histogram"]
     (RUN + ["--mode", "linear-scan", "--dataset", "{d}"], {"d": "id,key\n0,3\n1,50\n"},
      "record 1 key 50 outside [0, 10)"),
     (RUN + ["--record-size", "0", "--mode", "linear-scan"], {}, "record size must be >= 1"),
+    (GEN_POINTS, {"d": "id,key\n0,50\n1,3\n"}, "data key 50 outside [0, 10)"),
 ], ids=["no-histogram-file", "histogram-row", "dataset-row", "queries-header",
-        "scan-query-domain", "scan-key-domain", "scan-record-size"])
+        "scan-query-domain", "scan-key-domain", "scan-record-size", "cdf-point-key-domain"])
 def test_cli_input_errors_exit_2(argv, files, message, tmp_path, capsys):
     paths = {}
     for name, text in files.items():

@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from shrouddb import cli, wire
 from shrouddb.errors import (
@@ -23,7 +24,6 @@ from shrouddb.storage import (
     RemoteKvs,
     bucket_key,
     connect,
-    parse_backend,
     parse_endpoint,
 )
 
@@ -191,12 +191,11 @@ def test_bucket_key_rejects_out_of_range():
         bucket_key(-1)
 
 
-def test_parse_backend():
-    assert parse_backend("memory") == ("memory", None)
-    assert parse_backend("disk") == ("disk", None)
-    assert parse_backend("remote=h:9") == ("remote", "h:9")
-    with pytest.raises(ParameterError):
-        parse_backend("s3")
+def test_connect_specs():
+    assert isinstance(connect("memory"), MemoryKvs)
+    for spec in ("s3", "remote", "memory=x"):
+        with pytest.raises(ParameterError, match="unknown storage spec"):
+            connect(spec)
 
 
 def test_connect_disk_needs_dir():
@@ -261,22 +260,34 @@ def test_wire_response_layout():
 def test_wire_roundtrip_request_response():
     a, b = socket.socketpair()
     try:
-        wire.send_request(a, wire.OP_BATCH_GET, wire.pack_keys([k(1), k(2)]))
+        wire.send_request(a, wire.OP_BATCH_GET, wire.pack_blobs([k(1), k(2)]))
         op, payload = wire.read_request(b)
         assert op == wire.OP_BATCH_GET
-        assert wire.unpack_keys(payload) == [k(1), k(2)]
-        wire.send_response(b, op, wire.ST_OK, wire.pack_values([b"x", b"yy"]))
+        assert wire.unpack_blobs(payload) == [k(1), k(2)]
+        wire.send_response(b, op, wire.ST_OK, wire.pack_blobs([b"x", b"yy"]))
         status, payload = wire.read_response(a, wire.OP_BATCH_GET)
         assert status == wire.ST_OK
-        assert wire.unpack_values(payload) == [b"x", b"yy"]
+        assert wire.unpack_blobs(payload) == [b"x", b"yy"]
     finally:
         a.close()
         b.close()
 
 
-def test_wire_pack_pairs_roundtrip():
-    pairs = [(k(1), b""), (k(2), b"data" * 50)]
-    assert wire.unpack_pairs(wire.pack_pairs(pairs)) == pairs
+@given(st.lists(st.binary(max_size=40), max_size=6))
+@example([])
+@example([b""])
+@example([b"", k(1), b""])
+def test_blob_list_roundtrip(blobs):
+    packed = wire.pack_blobs(blobs)
+    assert packed[:4] == struct.pack(">I", len(blobs))
+    assert wire.unpack_blobs(packed) == blobs
+    for cut in range(len(packed)):  # every proper prefix
+        with pytest.raises(ValueError):
+            wire.unpack_blobs(packed[:cut])
+    with pytest.raises(ValueError):
+        wire.unpack_blobs(packed + b"\x00")
+    with pytest.raises(ValueError):  # a count larger than the payload holds
+        wire.unpack_blobs(struct.pack(">I", len(blobs) + 1) + packed[4:])
 
 
 def test_wire_opcode_set():
@@ -286,12 +297,18 @@ def test_wire_opcode_set():
 def test_server_missing_and_error_paths(server):
     host, port = server
     with socket.create_connection((host, port)) as s:
-        wire.send_request(s, wire.OP_BATCH_PUT, wire.pack_pairs([(k(1), b"v")]))
+        wire.send_request(s, wire.OP_BATCH_PUT, wire.pack_blobs([k(1), b"v"]))
         assert wire.read_response(s, wire.OP_BATCH_PUT) == (wire.ST_OK, b"")
-        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_keys([k(1), k(42), k(43)]))
+        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([k(1), k(42), k(43)]))
         status, payload = wire.read_response(s, wire.OP_BATCH_GET)
         assert status == wire.ST_MISSING
-        assert wire.unpack_keys(payload) == [k(42), k(43)]
+        assert wire.unpack_blobs(payload) == [k(42), k(43)]
+        # a put with an odd blob count is not pairs: an error, and nothing stored
+        wire.send_request(s, wire.OP_BATCH_PUT, wire.pack_blobs([k(5), b"v", k(6)]))
+        assert wire.read_response(s, wire.OP_BATCH_PUT)[0] == wire.ST_ERROR
+        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([k(5)]))
+        status, payload = wire.read_response(s, wire.OP_BATCH_GET)
+        assert (status, wire.unpack_blobs(payload)) == (wire.ST_MISSING, [k(5)])
         # unknown opcodes, the retired single-key 0x01 and 0x02 among them,
         # answer an error frame without dropping the link
         for op in (0x01, 0x02, 0x7F):
@@ -302,12 +319,12 @@ def test_server_missing_and_error_paths(server):
             assert frame[1] == wire.ST_ERROR
             assert b"unknown opcode" in frame[2:]
         # an empty batch is an error too
-        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_keys([]))
+        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([]))
         assert wire.read_response(s, wire.OP_BATCH_GET)[0] == wire.ST_ERROR
         # connection still usable
-        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_keys([k(1)]))
+        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([k(1)]))
         status, payload = wire.read_response(s, wire.OP_BATCH_GET)
-        assert (status, wire.unpack_values(payload)) == (wire.ST_OK, [b"v"])
+        assert (status, wire.unpack_blobs(payload)) == (wire.ST_OK, [b"v"])
 
 
 def _fake_server(reply: bytes):
@@ -331,7 +348,7 @@ def _fake_server(reply: bytes):
 @pytest.mark.parametrize("reply", [
     struct.pack(">I", 2) + b"\x00\x05",                  # two values promised, 2 bytes sent
     struct.pack(">II", 1, 99) + b"short",                # a value length past the end
-    wire.pack_values([b"a", b"b"]),                      # well formed, one value too many
+    wire.pack_blobs([b"a", b"b"]),                       # well formed, one value too many
 ], ids=["truncated-header", "length-past-end", "count-mismatch"])
 def test_malformed_remote_response_is_a_storage_error(reply):
     host, port, t = _fake_server(reply)
@@ -360,7 +377,7 @@ def test_remote_transport_failure_drops_the_connection():
                     if value == b"late":
                         time.sleep(0.5)  # past the client's timeout
                     try:
-                        wire.send_response(conn, op, wire.ST_OK, wire.pack_values([value]))
+                        wire.send_response(conn, op, wire.ST_OK, wire.pack_blobs([value]))
                         conn.recv(1)  # until the client hangs up
                     except OSError:  # the client has gone, as it should
                         pass
@@ -423,3 +440,32 @@ def test_shared_remote_handle_serves_all_orams(server):
     finally:
         state.close()
         remote.close()
+
+
+def test_remote_spec_opens_one_connection(server, monkeypatch):
+    """A ``remote=`` deployment with m = 4 runs on one connection, which
+    ``close`` closes."""
+    from shrouddb.data import Database, Record, range_query
+    from shrouddb.engine import EngineConfig, query, setup
+
+    opened = []
+    real_connect = RemoteKvs._connect
+
+    def counting_connect(self):
+        opened.append(real_connect(self))
+        return opened[-1]
+
+    monkeypatch.setattr(RemoteKvs, "_connect", counting_connect)
+    host, port = server
+    r = random.Random(6)
+    db = Database([Record(i, r.randrange(100), r.randbytes(64)) for i in range(200)])
+    state = setup(db, EngineConfig(domain=100, record_size=64, m=4), f"remote={host}:{port}", 3)
+    try:
+        for a in range(0, 100, 20):
+            res = query(state, range_query(a, a + 9))
+            assert [x.rid for x in res.records] == \
+                sorted(x.rid for x in db.records if a <= x.key <= a + 9)
+    finally:
+        state.close()
+    assert len(opened) == 1
+    assert opened[0].fileno() == -1  # closed
