@@ -2,13 +2,15 @@ import random
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from shrouddb.errors import BatchError
 from shrouddb.oram import ADDR_SIZE, DUMMY_ADDR, Z
 from shrouddb.slots import open_slots
-from shrouddb.storage import MAX_INDEX, MemoryKvs
+from shrouddb.storage import INDEX_BITS, MAX_INDEX, Kvs, MemoryKvs
 
 settings.register_profile(
     "default",
@@ -43,6 +45,40 @@ def server():
             proc.kill()
             proc.wait()
         proc.stdout.close()
+
+
+class RecordingKvs(Kvs):
+    """The server's view: every operation that reaches the storage
+    boundary, as (operation, ((key, value length), ...)), per namespace.
+    A read that misses is recorded with no lengths."""
+
+    def __init__(self):
+        self.inner = MemoryKvs()
+        self.log: dict[int, list] = {}
+        self._lock = threading.Lock()
+
+    def _record(self, op, pairs):
+        with self._lock:
+            ns = int.from_bytes(pairs[0][0], "big") >> INDEX_BITS
+            self.log.setdefault(ns, []).append((op, tuple(pairs)))
+
+    def batch_get(self, keys):
+        try:
+            values = self.inner.batch_get(keys)
+        except BatchError:
+            self._record("batch_get", [(k, None) for k in keys])
+            raise
+        self._record("batch_get", [(k, len(v)) for k, v in zip(keys, values)])
+        return values
+
+    def batch_put(self, pairs):
+        self.inner.batch_put(pairs)
+        self._record("batch_put", [(k, len(v)) for k, v in pairs])
+
+    def take(self):
+        with self._lock:
+            log, self.log = self.log, {}
+        return log
 
 
 class LeafRecordingKvs(MemoryKvs):

@@ -5,6 +5,7 @@ import threading
 import types
 
 import pytest
+from conftest import RecordingKvs
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from scipy import stats
 
@@ -24,7 +25,6 @@ from shrouddb.engine import (
 )
 from shrouddb.errors import (
     AuthenticationError,
-    BatchError,
     BudgetError,
     DataError,
     ParameterError,
@@ -34,7 +34,7 @@ from shrouddb.errors import (
 )
 from shrouddb.rng import derive_stream
 from shrouddb.slots import open_slots
-from shrouddb.storage import INDEX_BITS, Kvs, MemoryKvs, bucket_key
+from shrouddb.storage import MemoryKvs, bucket_key
 
 LN2 = math.log(2)
 
@@ -450,40 +450,6 @@ def test_sanitizers_persisted_to_meta_namespace():
             assert ds.counts == live.counts
     finally:
         state.close()
-
-
-class RecordingKvs(Kvs):
-    """The server's view: every operation that reaches the storage
-    boundary, as (operation, ((key, value length), ...)), per namespace.
-    A read that misses is recorded with no lengths."""
-
-    def __init__(self):
-        self.inner = MemoryKvs()
-        self.log: dict[int, list] = {}
-        self._lock = threading.Lock()
-
-    def _record(self, op, pairs):
-        with self._lock:
-            ns = int.from_bytes(pairs[0][0], "big") >> INDEX_BITS
-            self.log.setdefault(ns, []).append((op, tuple(pairs)))
-
-    def batch_get(self, keys):
-        try:
-            values = self.inner.batch_get(keys)
-        except BatchError:
-            self._record("batch_get", [(k, None) for k in keys])
-            raise
-        self._record("batch_get", [(k, len(v)) for k, v in zip(keys, values)])
-        return values
-
-    def batch_put(self, pairs):
-        self.inner.batch_put(pairs)
-        self._record("batch_put", [(k, len(v)) for k, v in pairs])
-
-    def take(self):
-        with self._lock:
-            log, self.log = self.log, {}
-        return log
 
 
 def test_bucket_values_have_fixed_size():
