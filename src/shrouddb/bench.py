@@ -168,6 +168,8 @@ def generate_queries(domain: int, selectivity: float, count: int, seed: int,
     ``cdf`` sampling centers ranges on keys drawn from the data."""
     if count < 1:
         raise ParameterError("query count must be >= 1")
+    if sampling not in SAMPLINGS:
+        raise ParameterError(f"unknown query sampling {sampling!r}")
     rng = derive_stream(seed, "queries")
     if sampling == "cdf":
         if not data_keys:

@@ -40,6 +40,7 @@ import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,19 +289,21 @@ def register_attribute(state: EngineState, attribute: str, epsilon: float) -> No
     """Index and sanitize one more column, charging its budget.
 
     Columns live over the same records, so budgets add up; the total
-    must stay within ``config.budget`` when one is set.
+    must stay within ``config.budget`` when one is set. Like ``query``,
+    it refuses a closed state and does not run beside a query.
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
-    if attribute in state.indexes:
-        raise ParameterError(f"attribute {attribute!r} already registered")
-    if state.config.budget is not None:
-        spent = sanitizer.compose(list(state.budgets.values()) + [epsilon],
-                                  disjoint=False)
-        if spent > state.config.budget + 1e-12:
-            raise BudgetError(f"budget {state.config.budget} exceeded: "
-                              f"registering {attribute!r} needs {spent:.6f}")
-    _install_attribute(state, attribute, epsilon)
+    with _exclusive(state):
+        if attribute in state.indexes:
+            raise ParameterError(f"attribute {attribute!r} already registered")
+        if state.config.budget is not None:
+            spent = sanitizer.compose(list(state.budgets.values()) + [epsilon],
+                                      disjoint=False)
+            if spent > state.config.budget + 1e-12:
+                raise BudgetError(f"budget {state.config.budget} exceeded: "
+                                  f"registering {attribute!r} needs {spent:.6f}")
+        _install_attribute(state, attribute, epsilon)
 
 
 def spent_budget(state: EngineState) -> float:
@@ -322,6 +325,20 @@ def _noise_addresses(n_j: int, taken: set[int], need: int,
     return picks + [n_j] * (need - len(picks))
 
 
+@contextmanager
+def _exclusive(state: EngineState):
+    """Hold ``state`` for one query or registration: a second one at the
+    same time, or a closed state, is a ``QueryError``."""
+    if not state._busy.acquire(blocking=False):
+        raise QueryError("another query is running on this state")
+    try:
+        if not state.orams:
+            raise QueryError("the state is closed")
+        yield
+    finally:
+        state._busy.release()
+
+
 def query(state: EngineState, q: Query) -> QueryResult:
     """Answer ``q`` exactly while the server sees only the noisy volume.
 
@@ -330,75 +347,65 @@ def query(state: EngineState, q: Query) -> QueryResult:
     runs on a state at a time; a second concurrent call raises
     ``QueryError`` rather than interleave ORAM batches.
     """
-    if not state._busy.acquire(blocking=False):
-        raise QueryError("another query is running on this state")
-    try:
-        return _query(state, q)
-    finally:
-        state._busy.release()
+    with _exclusive(state):
+        config = state.config
+        if q.attribute not in state.indexes:
+            raise QueryError(f"attribute {q.attribute!r} is not indexed")
+        if not 0 <= q.a <= q.b < config.domain:
+            raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {config.domain})")
 
+        m = config.m
+        records = state.db.records
+        pos = bptree.lookup(state.indexes[q.attribute], q)  # matching record positions
+        t_pos: list[list[int]] = [[] for _ in range(m)]
+        t_addrs: list[list[int]] = [[] for _ in range(m)]
+        for i, j, a in zip(pos.tolist(), state.oram_of[pos].tolist(), state.addr[pos].tolist()):
+            t_pos[j - 1].append(i)
+            t_addrs[j - 1].append(a)
+        dss = state.sanitizers[q.attribute]
 
-def _query(state: EngineState, q: Query) -> QueryResult:
-    config = state.config
-    if not state.orams:
-        raise QueryError("the state is closed")
-    if q.attribute not in state.indexes:
-        raise QueryError(f"attribute {q.attribute!r} is not indexed")
-    if not 0 <= q.a <= q.b < config.domain:
-        raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {config.domain})")
+        if config.mode == "no-gamma":
+            quotas = [sanitizer.sanitizer_query(ds, q.a, q.b) for ds in dss]
+        else:
+            share = k0 = sanitizer.sanitizer_query(dss[0], q.a, q.b)
+            if config.mode == "gamma" and k0 > 0:
+                share = math.ceil((1.0 + compute_gamma(m, config.beta, k0)) * k0 / m)
+            quotas = [share] * m
 
-    m = config.m
-    records = state.db.records
-    pos = bptree.lookup(state.indexes[q.attribute], q)  # matching record positions
-    t_pos: list[list[int]] = [[] for _ in range(m)]
-    t_addrs: list[list[int]] = [[] for _ in range(m)]
-    for i, j, a in zip(pos.tolist(), state.oram_of[pos].tolist(), state.addr[pos].tolist()):
-        t_pos[j - 1].append(i)
-        t_addrs[j - 1].append(a)
-    dss = state.sanitizers[q.attribute]
+        # each ORAM reads its matches first, then its padding
+        plans = [t + _noise_addresses(n_j, set(t), quota - len(t), rng)
+                 for t, n_j, quota, rng in zip(t_addrs, state.n_per, quotas, state.noise_rngs)]
+        failed = any(len(t) > quota for t, quota in zip(t_addrs, quotas))
 
-    if config.mode == "no-gamma":
-        quotas = [sanitizer.sanitizer_query(ds, q.a, q.b) for ds in dss]
-    else:
-        share = k0 = sanitizer.sanitizer_query(dss[0], q.a, q.b)
-        if config.mode == "gamma" and k0 > 0:
-            share = math.ceil((1.0 + compute_gamma(m, config.beta, k0)) * k0 / m)
-        quotas = [share] * m
+        counters = [st.store.counters for st in state.orams]
+        before = [c.snapshot() for c in counters]
 
-    # each ORAM reads its matches first, then its padding
-    plans = [t + _noise_addresses(n_j, set(t), quota - len(t), rng)
-             for t, n_j, quota, rng in zip(t_addrs, state.n_per, quotas, state.noise_rngs)]
-    failed = any(len(t) > quota for t, quota in zip(t_addrs, quotas))
+        def fetch(j: int) -> list[bytes]:
+            if not plans[j]:
+                return []
+            return state.orams[j].batch_access([read_op(a) for a in plans[j]])
 
-    counters = [st.store.counters for st in state.orams]
-    before = [c.snapshot() for c in counters]
+        if state._pool is not None:
+            blocks = list(state._pool.map(fetch, range(m)))
+        else:
+            blocks = [fetch(j) for j in range(m)]
 
-    def fetch(j: int) -> list[bytes]:
-        if not plans[j]:
-            return []
-        return state.orams[j].batch_access([read_op(a) for a in plans[j]])
+        found: list[Record] = []
+        for j in range(m):
+            for i, blob in zip(t_pos[j], blocks[j]):  # the first len(t) blocks are the matches
+                got = unpack_record(blob)
+                if got.rid != records[i].rid:
+                    raise DataError(f"store returned record {got.rid} for id {records[i].rid}")
+                found.append(got)
+        found.sort(key=lambda r: r.rid)
 
-    if state._pool is not None:
-        blocks = list(state._pool.map(fetch, range(m)))
-    else:
-        blocks = [fetch(j) for j in range(m)]
-
-    found: list[Record] = []
-    for j in range(m):
-        for i, blob in zip(t_pos[j], blocks[j]):  # the first len(t) blocks are the matches
-            got = unpack_record(blob)
-            if got.rid != records[i].rid:
-                raise DataError(f"store returned record {got.rid} for id {records[i].rid}")
-            found.append(got)
-    found.sort(key=lambda r: r.rid)
-
-    after = [c.snapshot() for c in counters]
-    rt = sum(s.roundtrips - b.roundtrips for b, s in zip(before, after))
-    up = sum(s.bytes_up - b.bytes_up for b, s in zip(before, after))
-    down = sum(s.bytes_down - b.bytes_down for b, s in zip(before, after))
-    fetched = sum(len(p) for p in plans)
-    return QueryResult(
-        records=found, true_count=len(pos), fetched_count=fetched,
-        failed=failed, per_oram_requests=[len(p) for p in plans],
-        roundtrips=rt, bytes_up=up, bytes_down=down, oram_accesses=fetched,
-    )
+        after = [c.snapshot() for c in counters]
+        rt = sum(s.roundtrips - b.roundtrips for b, s in zip(before, after))
+        up = sum(s.bytes_up - b.bytes_up for b, s in zip(before, after))
+        down = sum(s.bytes_down - b.bytes_down for b, s in zip(before, after))
+        fetched = sum(len(p) for p in plans)
+        return QueryResult(
+            records=found, true_count=len(pos), fetched_count=fetched,
+            failed=failed, per_oram_requests=[len(p) for p in plans],
+            roundtrips=rt, bytes_up=up, bytes_down=down, oram_accesses=fetched,
+        )

@@ -12,7 +12,7 @@ traffic. Several stores share one server by key: ``bucket_key`` puts a
 
 from __future__ import annotations
 
-import contextlib
+import os
 import socket
 import struct
 import threading
@@ -94,11 +94,13 @@ class DiskKvs(Kvs):
     """Append-only log with an in-memory offset index.
 
     One file per store; records are ``key(8) || u32 length || value``.
-    Reopening rebuilds the index by a single forward scan; later
-    records for a key shadow earlier ones. A torn record at the tail
-    (a crash mid-append) is cut off on reopen, so the next append
-    starts on a record boundary. A failed write is a ``StorageError``,
-    and the log is cut back to where its batch began, so the batch is
+    A batch is one gather write (``os.writev``, split at ``IOV_MAX``
+    pieces), a read one ``os.pread`` per key; POSIX only. Reopening
+    rebuilds the index by a single forward scan; later records for a
+    key shadow earlier ones. A torn record at the tail (a crash
+    mid-append) is cut off on reopen, so the next append starts on a
+    record boundary. A failed or short write is a ``StorageError``, and
+    the log is cut back to where its batch began, so the batch is
     neither indexed nor left in the file. No compaction.
     """
 
@@ -106,38 +108,31 @@ class DiskKvs(Kvs):
         self._path = Path(path)
         self._index: dict[bytes, tuple[int, int]] = {}
         self._lock = threading.Lock()
+        self._per_write = os.sysconf("SC_IOV_MAX") // 2  # records a gather write takes
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self._path, "a+b")
-        self._scan()
+        self._file = open(self._path, "a+b", buffering=0)
+        self._end = self._scan()
+        self._file.truncate(self._end)
 
-    def _scan(self):
-        size = self._file.seek(0, 2)
-        self._file.seek(0)
-        off = 0
-        while True:
-            header = self._file.read(KEY_SIZE + 4)
-            if len(header) < KEY_SIZE + 4:
-                break
-            (vlen,) = struct.unpack(">I", header[KEY_SIZE:])
-            end = off + KEY_SIZE + 4 + vlen
-            if end > size:
-                break
-            self._index[header[:KEY_SIZE]] = (off + KEY_SIZE + 4, vlen)
-            self._file.seek(end)
-            off = end
-        if off < size:
-            self._file.truncate(off)
-        self._file.seek(0, 2)
+    def _scan(self) -> int:
+        """Index the log's whole records; returns the offset where they end."""
+        with open(self._path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            off = 0
+            while True:
+                header = fh.read(KEY_SIZE + 4)
+                if len(header) < KEY_SIZE + 4:
+                    return off
+                (vlen,) = struct.unpack(">I", header[KEY_SIZE:])
+                end = off + KEY_SIZE + 4 + vlen
+                if end > size:
+                    return off
+                self._index[header[:KEY_SIZE]] = (off + KEY_SIZE + 4, vlen)
+                off = fh.seek(end)
 
     def _ensure_open(self):
         if self._file.closed:
             raise StorageClosedError("handle is closed")
-
-    def _append(self, key: bytes, value: bytes) -> tuple[int, int]:
-        """Write one record at the end of the log; returns its index entry."""
-        off = self._file.tell()
-        self._file.write(key + struct.pack(">I", len(value)) + value)
-        return off + KEY_SIZE + 4, len(value)
 
     def batch_get(self, keys: list[bytes]) -> list[bytes]:
         self._ensure_open()
@@ -146,38 +141,33 @@ class DiskKvs(Kvs):
             missing = [k for k in keys if k not in self._index]
             if missing:
                 raise BatchError(f"{len(missing)} keys missing: {missing[:4]}", missing)
-            self._file.flush()
-            out = []
-            for k in keys:
-                off, vlen = self._index[k]
-                self._file.seek(off)
-                out.append(self._file.read(vlen))
-            self._file.seek(0, 2)
-            return out
+            fd = self._file.fileno()
+            return [os.pread(fd, vlen, off) for off, vlen in map(self._index.get, keys)]
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         self._ensure_open()
         keys = [k for k, _ in pairs]
         _check_keys(keys, "batch_put")
         with self._lock:
-            start = self._file.tell()
+            start = off = self._end
+            entries = []
             try:
-                entries = [self._append(k, v) for k, v in pairs]
-                self._file.flush()
+                for i in range(0, len(pairs), self._per_write):
+                    pieces, at = [], off
+                    for k, v in pairs[i:i + self._per_write]:
+                        pieces += (k + struct.pack(">I", len(v)), v)
+                        entries.append((off + KEY_SIZE + 4, len(v)))
+                        off += KEY_SIZE + 4 + len(v)
+                    if os.writev(self._file.fileno(), pieces) != off - at:
+                        raise OSError("short write")
             except OSError as exc:
-                # the handle may buffer bytes its next write would flush: drop it, cut the log
-                with contextlib.suppress(OSError):  # what it cannot flush is cut anyway
-                    self._file.close()
-                self._file = open(self._path, "a+b")
-                self._file.truncate(start)
-                self._file.seek(0, 2)
+                self._file.truncate(start)  # the batch leaves no bytes behind
                 raise StorageError(f"disk write failed: {exc}") from exc
+            self._end = off
             self._index.update(zip(keys, entries))
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        self._file.close()
 
 
 class RemoteKvs(Kvs):

@@ -1,3 +1,5 @@
+import errno
+import os
 import random
 import re
 import subprocess
@@ -102,6 +104,26 @@ class LeafRecordingKvs(MemoryKvs):
 def leaf_kvs():
     """Factory of ``LeafRecordingKvs`` stores."""
     return LeafRecordingKvs
+
+
+class FullDisk:
+    """Stands in for ``os.writev`` on a disk with ``room`` bytes left: the
+    gather write that would exceed it stores what fits and raises ENOSPC;
+    after that, writes go through again."""
+
+    def __init__(self, room):
+        self.room = room
+        self.real = os.writev
+
+    def __call__(self, fd, buffers):
+        if self.room is not None:
+            data = b"".join(buffers)
+            if len(data) > self.room:
+                os.write(fd, data[:self.room])
+                self.room = None
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= len(data)
+        return self.real(fd, buffers)
 
 
 def tree_blocks(st) -> dict[int, int]:

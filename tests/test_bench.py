@@ -132,6 +132,12 @@ def test_cdf_needs_keys():
         generate_queries(100, 0.1, 5, seed=0, sampling="cdf")
 
 
+@pytest.mark.parametrize("kind", ["range", "point"])
+def test_unknown_sampling_is_rejected(kind):
+    with pytest.raises(ParameterError, match="unknown query sampling 'CDF'"):
+        generate_queries(100, 0.1, 5, seed=0, kind=kind, sampling="CDF", data_keys=[1, 2])
+
+
 # -- CSV interchange ----------------------------------------------------------------
 
 def test_dataset_roundtrip(tmp_path):

@@ -514,7 +514,9 @@ def test_concurrent_query_is_refused():
                 self.release.wait(30)
             return super().batch_get(keys)
 
-    db, kvs, q = small_db(), BlockingKvs(), range_query(10, 30)
+    records = small_db().records
+    db = Database(records, {"aux": [r.key for r in records]})
+    kvs, q = BlockingKvs(), range_query(10, 30)
     state = setup(db, config(m=2), kvs, seed=3)
     try:
         results = []
@@ -524,10 +526,16 @@ def test_concurrent_query_is_refused():
         assert kvs.entered.wait(30)
         with pytest.raises(QueryError, match="another query"):
             query(state, q)
+        with pytest.raises(QueryError, match="another query"):
+            register_attribute(state, "aux", LN2)
+        assert "aux" not in state.indexes
         kvs.release.set()
         worker.join(30)
+        assert not worker.is_alive()
         assert [r.rid for r in results[0].records] == expected(db, q)
         assert [r.rid for r in query(state, q).records] == expected(db, q)
+        register_attribute(state, "aux", LN2)  # runs once the query is done
+        assert [r.rid for r in query(state, Query(10, 30, "aux")).records] == expected(db, q)
     finally:
         kvs.release.set()
         state.close()
@@ -620,3 +628,15 @@ def test_closed_state_holds_no_key_material():
     assert state.orams == []
     with pytest.raises(QueryError, match="closed"):
         query(state, range_query(0, 5))
+
+
+def test_register_attribute_refuses_a_closed_state():
+    records = small_db().records
+    kvs = RecordingKvs()
+    state = setup(Database(records, {"aux": [r.key for r in records]}), config(m=2), kvs, seed=4)
+    kvs.take()
+    state.close()
+    with pytest.raises(QueryError, match="the state is closed"):
+        register_attribute(state, "aux", LN2)
+    assert "aux" not in state.indexes
+    assert kvs.take() == {}  # nothing reached the store

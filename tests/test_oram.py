@@ -1,10 +1,11 @@
-import errno
 import math
+import os
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
-from conftest import tree_blocks
+from conftest import FullDisk, tree_blocks
 from hypothesis import given, settings, strategies as st
 
 from shrouddb import oram, wire
@@ -29,7 +30,7 @@ from shrouddb.oram import (
     write_op,
 )
 from shrouddb.slots import open_slots
-from shrouddb.storage import CountingKvs, DiskKvs, MemoryKvs, RemoteKvs, bucket_key
+from shrouddb.storage import KEY_SIZE, CountingKvs, DiskKvs, MemoryKvs, RemoteKvs, bucket_key
 
 
 def make(capacity=32, payload=16, seed=7, store=None, blocks=()):
@@ -350,27 +351,18 @@ class FlakyPuts(MemoryKvs):
 
 
 class TornDiskKvs(DiskKvs):
-    """A disk log whose write fails halfway through each of its next
-    ``faults`` batch puts."""
+    """A disk log whose gather write fails halfway through each of its
+    next ``faults`` batch puts, after the first half of the records."""
 
     faults = 0
-    room = None  # records that still fit before the write fails
 
     def batch_put(self, pairs):
-        if self.faults:
-            self.faults -= 1
-            self.room = len(pairs) // 2
-        try:
+        if not self.faults:
+            return super().batch_put(pairs)
+        self.faults -= 1
+        half = sum(KEY_SIZE + 4 + len(v) for _, v in pairs[:len(pairs) // 2])
+        with mock.patch.object(os, "writev", FullDisk(half)):
             super().batch_put(pairs)
-        finally:
-            self.room = None
-
-    def _append(self, key, value):
-        if self.room == 0:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        if self.room is not None:
-            self.room -= 1
-        return super()._append(key, value)
 
 
 @pytest.mark.parametrize("fault", ["apply-then-fail", "fail-before-apply", "disk-partial"])

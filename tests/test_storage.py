@@ -1,4 +1,4 @@
-import errno
+import os
 import random
 import socket
 import struct
@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from conftest import FullDisk
 from hypothesis import example, given, strategies as st
 
 from shrouddb import cli, wire
@@ -77,6 +78,27 @@ def test_disk_persistence(tmp_path):
     d2.close()
 
 
+def test_disk_log_format(tmp_path):
+    """The log is ``key(8) || u32 big-endian length || value`` per record,
+    in batch order; a log written in that format by hand reopens, later
+    records winning, so logs written by earlier versions stay readable."""
+    def record(key, value):
+        return key + struct.pack(">I", len(value)) + value
+
+    path = tmp_path / "format.log"
+    d = DiskKvs(path)
+    d.batch_put([(k(1), b"one"), (k(2), b"")])
+    d.batch_put([(k(1), b"uno" * 50)])
+    d.close()
+    assert path.read_bytes() == record(k(1), b"one") + record(k(2), b"") + record(k(1), b"uno" * 50)
+
+    path = tmp_path / "by-hand.log"
+    path.write_bytes(record(k(7), b"seven") + record(k(8), b"eight") + record(k(7), b"SEVEN"))
+    d = DiskKvs(path)
+    assert d.batch_get([k(7), k(8)]) == [b"SEVEN", b"eight"]
+    d.close()
+
+
 def test_disk_torn_tail_is_cut_on_reopen(tmp_path):
     path = tmp_path / "torn.log"
     d = DiskKvs(path)
@@ -116,43 +138,38 @@ def test_disk_torn_header_is_cut_on_reopen(tmp_path):
     d.close()
 
 
-class FullDisk:
-    """A log handle that takes ``room`` more bytes and then fails as a
-    full disk does; after the failure, writes go through again."""
-
-    def __init__(self, inner, room):
-        self.inner, self.room = inner, room
-
-    def write(self, data):
-        if self.room is not None and len(data) > self.room:
-            self.inner.write(data[:self.room])
-            self.room = None
-            raise OSError(errno.ENOSPC, "No space left on device")
-        if self.room is not None:
-            self.room -= len(data)
-        return self.inner.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-def test_disk_failed_write_leaves_no_bytes_behind(tmp_path):
-    """A batch whose write fails partway through its first record leaves
-    the log as it was, so the same batch sent again reads back on reopen."""
-    path = tmp_path / "full.log"
+def _failed_batch_is_cut(path, writev, monkeypatch):
+    """A batch whose gather write goes through ``writev`` is refused and
+    leaves the log as it was, so the same batch sent again reads back,
+    also on reopen."""
     d = DiskKvs(path)
     old = [(k(i), b"old-%d" % i * 4) for i in range(10)]
     new = [(k(i), b"new-%d" % i * 4) for i in range(10)]
     d.batch_put(old)
-    d._file = FullDisk(d._file, 25)  # a 32-byte record cut after 25 bytes
-    with pytest.raises(StorageError, match="disk write failed"):
-        d.batch_put(new)
+    size = path.stat().st_size
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "writev", writev)
+        with pytest.raises(StorageError, match="disk write failed"):
+            d.batch_put(new)
+    assert path.stat().st_size == size
     assert d.batch_get([k(0)]) == [old[0][1]]
     d.batch_put(new)
+    assert d.batch_get([key for key, _ in new]) == [v for _, v in new]
     d.close()
     d = DiskKvs(path)
     assert d.batch_get([key for key, _ in new]) == [v for _, v in new]
     d.close()
+
+
+def test_disk_failed_write_leaves_no_bytes_behind(tmp_path, monkeypatch):
+    _failed_batch_is_cut(tmp_path / "full.log", FullDisk(25), monkeypatch)  # 25 of a 32-byte record
+
+
+def test_disk_short_write_is_refused_and_cut(tmp_path, monkeypatch):
+    def short(fd, buffers):  # takes 25 bytes and reports them without an error
+        return os.write(fd, b"".join(buffers)[:25])
+
+    _failed_batch_is_cut(tmp_path / "short.log", short, monkeypatch)
 
 
 def test_counting_kvs_logical_bytes():
