@@ -14,40 +14,46 @@ import socketserver
 from pathlib import Path
 
 from shrouddb import wire
-from shrouddb.errors import BatchError, ParameterError
+from shrouddb.errors import BatchError, ParameterError, StorageError
 from shrouddb.storage import Kvs, connect
 
 
-def _answer(kvs: Kvs, opcode: int, payload: bytes) -> tuple[int, bytes]:
+def _answer(kvs: Kvs, opcode: int, payload: memoryview) -> tuple[int, list]:
     if opcode == wire.OP_BATCH_GET:
+        keys = [bytes(k) for k in wire.unpack_blobs(payload)]  # dict keys, so copied
         try:
-            return wire.ST_OK, wire.pack_blobs(kvs.batch_get(wire.unpack_blobs(payload)))
+            return wire.ST_OK, wire.blob_pieces(kvs.batch_get(keys))
         except BatchError as exc:
-            return wire.ST_MISSING, wire.pack_blobs(exc.missing)
+            return wire.ST_MISSING, wire.blob_pieces(exc.missing)
     if opcode == wire.OP_BATCH_PUT:
         flat = wire.unpack_blobs(payload)
         if len(flat) % 2:
-            return wire.ST_ERROR, f"batch_put got {len(flat)} blobs, not key-value pairs".encode()
-        kvs.batch_put(list(zip(flat[::2], flat[1::2])))
-        return wire.ST_OK, b""
-    return wire.ST_ERROR, f"unknown opcode {opcode:#x}".encode()
+            return wire.ST_ERROR, [f"batch_put got {len(flat)} blobs, not key-value pairs".encode()]
+        kvs.batch_put([(bytes(k), v) for k, v in zip(flat[::2], flat[1::2])])
+        return wire.ST_OK, []
+    return wire.ST_ERROR, [f"unknown opcode {opcode:#x}".encode()]
 
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock: socket.socket = self.request
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         kvs: Kvs = self.server.kvs  # type: ignore[attr-defined]
         while True:
             try:
-                opcode, payload = wire.read_request(self.request)
+                opcode, payload = wire.read_request(sock)
             except (ConnectionError, ValueError, OSError):
                 return
             try:
                 status, out = _answer(kvs, opcode, payload)
             except Exception as exc:  # surface, never kill the connection
-                status, out = wire.ST_ERROR, str(exc).encode()
+                status, out = wire.ST_ERROR, [str(exc).encode()]
+            del payload  # the store holds copies; free the frame before the next one
             try:
-                wire.send_response(self.request, opcode, status, out)
+                try:
+                    wire.send_response(sock, opcode, status, out)
+                except StorageError as exc:  # a reply over the frame limit; none of it went out
+                    wire.send_response(sock, opcode, wire.ST_ERROR, [str(exc).encode()])
             except OSError:
                 return
 

@@ -2,9 +2,12 @@
 
 All backends share one contract of two batch operations: ``batch_put``
 stores every pair, ``batch_get`` returns the last value written under
-each key or raises ``BatchError`` naming the missing keys. Keys are 8
-bytes, values arbitrary; each batch is one round trip and holds the
-backend's lock throughout, so it is all-or-nothing to other callers.
+each key or raises ``BatchError`` naming the missing keys. Keys are
+8-byte ``bytes``; values are bytes-like, of any length. A value read
+back is bytes-like too: ``RemoteKvs`` returns read-only views into the
+reply it received, which keep that reply alive while any is held. Each
+batch is one round trip and holds the backend's lock throughout, so it
+is all-or-nothing to other callers.
 ``CountingKvs`` is the one wrapper: it counts round trips and logical
 traffic. Several stores share one server by key: ``bucket_key`` puts a
 12-bit namespace above a 52-bit index.
@@ -197,41 +200,42 @@ class RemoteKvs(Kvs):
             raise StorageError(f"cannot connect to {host}:{port}: {exc}") from exc
         return sock
 
-    def _call(self, opcode: int, payload: bytes) -> tuple[int, bytes]:
+    def _call(self, opcode: int, payload: list) -> tuple[int, memoryview]:
         with self._lock:
             if self._closed:
                 raise StorageClosedError("handle is closed")
             if self._sock is None:
                 self._sock = self._connect()
             sock = self._sock
-            try:
+            try:  # a frame over the limit raises StorageError first, and keeps the link
                 wire.send_request(sock, opcode, payload)
                 return wire.read_response(sock, opcode)
             except (ConnectionError, OSError, ValueError) as exc:
                 self._drop()
                 raise StorageError(f"transport failure: {exc}") from exc
 
-    def batch_get(self, keys: list[bytes]) -> list[bytes]:
+    def batch_get(self, keys: list[bytes]) -> list[memoryview]:
         _check_keys(keys, "batch_get")
-        status, payload = self._call(wire.OP_BATCH_GET, wire.pack_blobs(keys))
+        status, payload = self._call(wire.OP_BATCH_GET, wire.blob_pieces(keys))
         if status not in (wire.ST_OK, wire.ST_MISSING):
-            raise StorageError(payload.decode(errors="replace"))
+            raise StorageError(str(payload, "utf-8", "replace"))
         try:
             blobs = wire.unpack_blobs(payload)
         except ValueError as exc:
             raise StorageError(f"malformed response: {exc}") from exc
         if status == wire.ST_MISSING:
-            raise BatchError(f"{len(blobs)} keys missing: {blobs[:4]}", blobs)
+            missing = [bytes(b) for b in blobs]
+            raise BatchError(f"{len(missing)} keys missing: {missing[:4]}", missing)
         if len(blobs) != len(keys):
             raise StorageError(f"malformed response: {len(blobs)} values for {len(keys)} keys")
-        return blobs
+        return blobs  # read-only views of the reply
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         _check_keys([k for k, _ in pairs], "batch_put")
         flat = [blob for pair in pairs for blob in pair]  # the wire's [k0, v0, k1, v1, ...]
-        status, payload = self._call(wire.OP_BATCH_PUT, wire.pack_blobs(flat))
+        status, payload = self._call(wire.OP_BATCH_PUT, wire.blob_pieces(flat))
         if status != wire.ST_OK:
-            raise StorageError(payload.decode(errors="replace"))
+            raise StorageError(str(payload, "utf-8", "replace"))
 
     def close(self) -> None:
         self._closed = True

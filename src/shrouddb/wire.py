@@ -13,10 +13,20 @@ payload but an empty OK and an ERROR message is one blob list,
     BATCH_GET  [key0, key1, ...]            -> OK: [value0, value1, ...]
                                                MISSING: [the keys never written]
     BATCH_PUT  [key0, value0, key1, ...]    -> OK: empty; an odd count is an ERROR
+
+No batch is copied in user space. A payload is sent from a list of
+buffers by gather writes, ``IOV_MAX`` buffers a ``sendmsg`` call (POSIX
+only), and received into one buffer of the frame's length; what is
+read back is read-only views of that buffer. A frame over ``MAX_FRAME``
+bytes is refused by its sender before any byte goes out, and by its
+receiver.
 """
 
+import os
 import socket
 import struct
+
+from shrouddb.errors import StorageError
 
 OP_BATCH_GET = 0x03
 OP_BATCH_PUT = 0x04
@@ -28,39 +38,60 @@ ST_ERROR = 0x02
 
 MAX_FRAME = 1 << 30
 
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+_u32 = struct.Struct(">I").pack
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+
+def _recv_exact(sock: socket.socket, n: int) -> memoryview:
+    """The next ``n`` bytes, as a read-only view of one fresh buffer."""
+    buf = memoryview(bytearray(n))
+    got = 0
+    while got < n:
+        k = sock.recv_into(buf[got:])
+        if not k:
             raise ConnectionError("peer closed the connection")
-        buf.extend(chunk)
-    return bytes(buf)
+        got += k
+    return buf.toreadonly()
 
 
-def send_request(sock: socket.socket, opcode: int, payload: bytes) -> None:
-    sock.sendall(struct.pack(">IB", 1 + len(payload), opcode) + payload)
+def _send(sock: socket.socket, head: bytes, payload: list) -> None:
+    length = len(head) + sum(map(len, payload))
+    if length > MAX_FRAME:
+        raise StorageError(f"frame of {length} bytes is over the {MAX_FRAME}-byte limit")
+    pieces = [_u32(length) + head, *payload]
+    i = 0
+    while i < len(pieces):
+        sent = sock.sendmsg(pieces[i:i + _IOV_MAX])
+        while i < len(pieces) and sent >= len(pieces[i]):
+            sent -= len(pieces[i])
+            i += 1
+        if sent:  # a short send ended inside piece i
+            pieces[i] = memoryview(pieces[i])[sent:]
 
 
-def send_response(sock: socket.socket, opcode: int, status: int, payload: bytes = b"") -> None:
-    sock.sendall(struct.pack(">IBB", 2 + len(payload), RESP_FLAG | opcode, status) + payload)
+def send_request(sock: socket.socket, opcode: int, payload: list) -> None:
+    """``payload`` is a list of buffers; ``StorageError`` if the frame is too large."""
+    _send(sock, bytes([opcode]), payload)
 
 
-def _read_frame(sock: socket.socket, min_length: int) -> bytes:
-    (length,) = struct.unpack(">I", recv_exact(sock, 4))
+def send_response(sock: socket.socket, opcode: int, status: int, payload: list) -> None:
+    _send(sock, bytes([RESP_FLAG | opcode, status]), payload)
+
+
+def _read_frame(sock: socket.socket, min_length: int) -> memoryview:
+    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
     if not min_length <= length <= MAX_FRAME:
         raise ValueError(f"bad frame length {length}")
-    return recv_exact(sock, length)
+    return _recv_exact(sock, length)
 
 
-def read_request(sock: socket.socket) -> tuple[int, bytes]:
+def read_request(sock: socket.socket) -> tuple[int, memoryview]:
     """Returns (opcode, payload); raises ConnectionError on EOF."""
     body = _read_frame(sock, 1)
     return body[0], body[1:]
 
 
-def read_response(sock: socket.socket, opcode: int) -> tuple[int, bytes]:
+def read_response(sock: socket.socket, opcode: int) -> tuple[int, memoryview]:
     """Returns (status, payload) for a response to ``opcode``."""
     body = _read_frame(sock, 2)
     if body[0] != (RESP_FLAG | opcode):
@@ -68,30 +99,31 @@ def read_response(sock: socket.socket, opcode: int) -> tuple[int, bytes]:
     return body[1], body[2:]
 
 
-def pack_blobs(blobs: list[bytes]) -> bytes:
-    """``u32 n || n x (u32 len || blob)``."""
-    parts = [struct.pack(">I", len(blobs))]
+def blob_pieces(blobs: list) -> list:
+    """``u32 n || n x (u32 len || blob)`` as a payload for ``send_request``
+    or ``send_response``; the blobs themselves are not copied."""
+    pieces = [_u32(len(blobs))]
     for blob in blobs:
-        parts.append(struct.pack(">I", len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+        pieces += (_u32(len(blob)), blob)
+    return pieces
 
 
-def unpack_blobs(payload: bytes) -> list[bytes]:
-    """The list ``pack_blobs`` wrote; ``ValueError`` unless ``payload``
-    is exactly one such list."""
-    if len(payload) < 4:
+def unpack_blobs(payload) -> list[memoryview]:
+    """The blob list in ``payload``, as views of it; ``ValueError`` unless
+    ``payload`` is exactly one such list."""
+    view = memoryview(payload)
+    if len(view) < 4:
         raise ValueError("blob list has no count")
-    (n,) = struct.unpack_from(">I", payload)
+    (n,) = struct.unpack_from(">I", view)
     blobs, off = [], 4
     for _ in range(n):
-        if off + 4 > len(payload):
+        if off + 4 > len(view):
             raise ValueError(f"blob list ends before blob {len(blobs)} of {n}")
-        (size,) = struct.unpack_from(">I", payload, off)
+        (size,) = struct.unpack_from(">I", view, off)
         off += 4 + size
-        if off > len(payload):
+        if off > len(view):
             raise ValueError(f"blob {len(blobs)} runs past the end")
-        blobs.append(payload[off - size:off])
-    if off != len(payload):
-        raise ValueError(f"{len(payload) - off} bytes after the blob list")
+        blobs.append(view[off - size:off])
+    if off != len(view):
+        raise ValueError(f"{len(view) - off} bytes after the blob list")
     return blobs

@@ -251,10 +251,19 @@ def test_setup_rejects_malformed_remote_spec():
 
 # -- wire framing -----------------------------------------------------------
 
+def _u32(n: int) -> bytes:
+    return struct.pack(">I", n)
+
+
+def _blob_list(blobs: list[bytes]) -> bytes:
+    """``u32 n || n x (u32 len || blob)``, built by hand."""
+    return _u32(len(blobs)) + b"".join(_u32(len(b)) + b for b in blobs)
+
+
 def test_wire_frame_layout():
     a, b = socket.socketpair()
     try:
-        wire.send_request(a, wire.OP_BATCH_PUT, b"payload")
+        wire.send_request(a, wire.OP_BATCH_PUT, [b"pay", b"", b"load"])
         raw = b.recv(1024)
         # u32 big-endian length of (opcode + payload), then opcode, then payload
         assert raw == struct.pack(">IB", 1 + 7, wire.OP_BATCH_PUT) + b"payload"
@@ -266,7 +275,7 @@ def test_wire_frame_layout():
 def test_wire_response_layout():
     a, b = socket.socketpair()
     try:
-        wire.send_response(a, wire.OP_BATCH_GET, wire.ST_OK, b"val")
+        wire.send_response(a, wire.OP_BATCH_GET, wire.ST_OK, [b"val"])
         raw = b.recv(1024)
         assert raw == struct.pack(">IBB", 2 + 3, 0x80 | wire.OP_BATCH_GET, wire.ST_OK) + b"val"
     finally:
@@ -277,11 +286,11 @@ def test_wire_response_layout():
 def test_wire_roundtrip_request_response():
     a, b = socket.socketpair()
     try:
-        wire.send_request(a, wire.OP_BATCH_GET, wire.pack_blobs([k(1), k(2)]))
+        wire.send_request(a, wire.OP_BATCH_GET, wire.blob_pieces([k(1), k(2)]))
         op, payload = wire.read_request(b)
         assert op == wire.OP_BATCH_GET
         assert wire.unpack_blobs(payload) == [k(1), k(2)]
-        wire.send_response(b, op, wire.ST_OK, wire.pack_blobs([b"x", b"yy"]))
+        wire.send_response(b, op, wire.ST_OK, wire.blob_pieces([b"x", b"yy"]))
         status, payload = wire.read_response(a, wire.OP_BATCH_GET)
         assert status == wire.ST_OK
         assert wire.unpack_blobs(payload) == [b"x", b"yy"]
@@ -295,8 +304,8 @@ def test_wire_roundtrip_request_response():
 @example([b""])
 @example([b"", k(1), b""])
 def test_blob_list_roundtrip(blobs):
-    packed = wire.pack_blobs(blobs)
-    assert packed[:4] == struct.pack(">I", len(blobs))
+    packed = b"".join(wire.blob_pieces(blobs))
+    assert packed == _blob_list(blobs)
     assert wire.unpack_blobs(packed) == blobs
     for cut in range(len(packed)):  # every proper prefix
         with pytest.raises(ValueError):
@@ -314,34 +323,165 @@ def test_wire_opcode_set():
 def test_server_missing_and_error_paths(server):
     host, port = server
     with socket.create_connection((host, port)) as s:
-        wire.send_request(s, wire.OP_BATCH_PUT, wire.pack_blobs([k(1), b"v"]))
+        wire.send_request(s, wire.OP_BATCH_PUT, wire.blob_pieces([k(1), b"v"]))
         assert wire.read_response(s, wire.OP_BATCH_PUT) == (wire.ST_OK, b"")
-        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([k(1), k(42), k(43)]))
+        wire.send_request(s, wire.OP_BATCH_GET, wire.blob_pieces([k(1), k(42), k(43)]))
         status, payload = wire.read_response(s, wire.OP_BATCH_GET)
         assert status == wire.ST_MISSING
         assert wire.unpack_blobs(payload) == [k(42), k(43)]
         # a put with an odd blob count is not pairs: an error, and nothing stored
-        wire.send_request(s, wire.OP_BATCH_PUT, wire.pack_blobs([k(5), b"v", k(6)]))
+        wire.send_request(s, wire.OP_BATCH_PUT, wire.blob_pieces([k(5), b"v", k(6)]))
         assert wire.read_response(s, wire.OP_BATCH_PUT)[0] == wire.ST_ERROR
-        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([k(5)]))
+        wire.send_request(s, wire.OP_BATCH_GET, wire.blob_pieces([k(5)]))
         status, payload = wire.read_response(s, wire.OP_BATCH_GET)
         assert (status, wire.unpack_blobs(payload)) == (wire.ST_MISSING, [k(5)])
         # unknown opcodes, the retired single-key 0x01 and 0x02 among them,
         # answer an error frame without dropping the link
         for op in (0x01, 0x02, 0x7F):
-            wire.send_request(s, op, k(1))
-            length = wire.recv_exact(s, 4)
-            frame = wire.recv_exact(s, struct.unpack(">I", length)[0])
-            assert frame[0] == 0x80 | op
-            assert frame[1] == wire.ST_ERROR
-            assert b"unknown opcode" in frame[2:]
+            wire.send_request(s, op, [k(1)])
+            # read_response raises ValueError unless the frame's opcode is 0x80 | op
+            status, payload = wire.read_response(s, op)
+            assert status == wire.ST_ERROR
+            assert b"unknown opcode" in bytes(payload)
         # an empty batch is an error too
-        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([]))
+        wire.send_request(s, wire.OP_BATCH_GET, wire.blob_pieces([]))
         assert wire.read_response(s, wire.OP_BATCH_GET)[0] == wire.ST_ERROR
         # connection still usable
-        wire.send_request(s, wire.OP_BATCH_GET, wire.pack_blobs([k(1)]))
+        wire.send_request(s, wire.OP_BATCH_GET, wire.blob_pieces([k(1)]))
         status, payload = wire.read_response(s, wire.OP_BATCH_GET)
         assert (status, wire.unpack_blobs(payload)) == (wire.ST_OK, [b"v"])
+
+
+def _recv_raw_frame(conn: socket.socket) -> bytes:
+    """One whole frame, its length header included, read with plain ``recv``."""
+    raw = b""
+    while len(raw) < 4 or len(raw) < 4 + struct.unpack(">I", raw[:4])[0]:
+        chunk = conn.recv(1 << 16)
+        if not chunk:
+            raise ConnectionError("peer closed the connection")
+        raw += chunk
+    return raw
+
+
+def test_remote_client_sends_the_documented_bytes():
+    """The bytes a ``RemoteKvs`` puts on the wire, against frames built by hand."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    seen = []
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, listener:
+            seen.append(_recv_raw_frame(conn))  # the get: two values back
+            conn.sendall(_u32(2 + 4 + 4 + 1 + 4 + 2) + bytes([0x83, 0x00]) + _u32(2)
+                         + _u32(1) + b"x" + _u32(2) + b"yy")
+            seen.append(_recv_raw_frame(conn))  # the put: an empty OK
+            conn.sendall(_u32(2) + bytes([0x84, 0x00]))
+            conn.recv(1)  # hold the link until the client closes
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    kvs = RemoteKvs(*listener.getsockname())
+    try:
+        got = kvs.batch_get([k(1), k(2)])
+        assert got == [b"x", b"yy"]
+        assert all(memoryview(v).readonly for v in got)
+        kvs.batch_put([(k(3), b"abc"), (k(4), b"")])
+    finally:
+        kvs.close()
+        t.join(timeout=10)
+    assert seen == [
+        _u32(1 + 4 + 2 * (4 + 8)) + bytes([0x03]) + _u32(2)
+        + _u32(8) + k(1) + _u32(8) + k(2),
+        _u32(1 + 4 + 4 * 4 + 8 + 3 + 8 + 0) + bytes([0x04]) + _u32(4)
+        + _u32(8) + k(3) + _u32(3) + b"abc" + _u32(8) + k(4) + _u32(0),
+    ]
+
+
+def test_server_answers_the_documented_bytes(server):
+    """The bytes ``shrouddb serve`` answers with, against frames built by hand."""
+    with socket.create_connection(server) as s:
+        s.sendall(_u32(1 + 4 + 4 * 4 + 8 + 3 + 8 + 0) + bytes([0x04]) + _u32(4)
+                  + _u32(8) + k(3) + _u32(3) + b"abc" + _u32(8) + k(4) + _u32(0))
+        assert _recv_raw_frame(s) == _u32(2) + bytes([0x84, 0x00])
+        s.sendall(_u32(1 + 4 + 2 * (4 + 8)) + bytes([0x03]) + _u32(2)
+                  + _u32(8) + k(4) + _u32(8) + k(3))
+        assert _recv_raw_frame(s) == (_u32(2 + 4 + 4 + 0 + 4 + 3) + bytes([0x83, 0x00])
+                                      + _u32(2) + _u32(0) + _u32(3) + b"abc")
+        s.sendall(_u32(1 + 4 + 2 * (4 + 8)) + bytes([0x03]) + _u32(2)
+                  + _u32(8) + k(3) + _u32(8) + k(9))
+        assert _recv_raw_frame(s) == (_u32(2 + 4 + 4 + 8) + bytes([0x83, 0x01])
+                                      + _u32(1) + _u32(8) + k(9))
+        s.sendall(_u32(1 + 8) + bytes([0x7F]) + k(1))
+        message = b"unknown opcode 0x7f"
+        assert _recv_raw_frame(s) == _u32(2 + len(message)) + bytes([0xFF, 0x02]) + message
+
+
+def test_gather_write_survives_short_sends(server, monkeypatch):
+    """A batch of more than IOV_MAX pieces and several MB, sent through a
+    small send buffer so that ``sendmsg`` returns short, comes back whole."""
+    offered, sent = [], []
+    real_sendmsg = socket.socket.sendmsg
+
+    def spy(sock, buffers, *args):
+        offered.append(sum(map(len, buffers)))
+        sent.append(real_sendmsg(sock, buffers, *args))
+        return sent[-1]
+
+    real_connect = RemoteKvs._connect
+
+    def small_buffer_connect(self):
+        sock = real_connect(self)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        return sock
+
+    monkeypatch.setattr(socket.socket, "sendmsg", spy)
+    monkeypatch.setattr(RemoteKvs, "_connect", small_buffer_connect)
+    r = random.Random(17)
+    pairs = [(k(i), r.randbytes(r.randrange(1, 4000))) for i in range(3000)]
+    assert 4 * len(pairs) > os.sysconf("SC_IOV_MAX")  # pieces: u32 count, 2 per blob
+    kvs = RemoteKvs(*server, timeout=10)
+    try:
+        kvs.batch_put(pairs)
+        assert kvs.batch_get([key for key, _ in pairs]) == [v for _, v in pairs]
+    finally:
+        kvs.close()
+    assert any(s < o for s, o in zip(sent, offered))  # short sends did happen
+
+
+def test_frame_over_the_limit_is_refused_before_sending(monkeypatch):
+    """An over-limit request fails by name on the client and an over-limit
+    reply by name on the server; either way the link stays up."""
+    from shrouddb.server import KvsServer
+
+    monkeypatch.setattr(wire, "MAX_FRAME", 1000)
+    opened = []
+    real_connect = RemoteKvs._connect
+
+    def counting_connect(self):
+        opened.append(real_connect(self))
+        return opened[-1]
+
+    monkeypatch.setattr(RemoteKvs, "_connect", counting_connect)
+    srv = KvsServer("127.0.0.1", 0, "memory")
+    t = threading.Thread(target=srv.serve_forever, daemon=True)
+    t.start()
+    kvs = RemoteKvs(*srv.endpoint)
+    try:
+        # 1 opcode + 4 count + 20 x (4 + 8) keys + 20 x (4 + 100) values
+        with pytest.raises(StorageError, match=r"^frame of 2325 bytes is over the 1000-byte limit$"):
+            kvs.batch_put([(k(i), bytes(100)) for i in range(20)])
+        for base in (0, 5):
+            kvs.batch_put([(k(base + i), bytes([i]) * 100) for i in range(5)])
+        # the reply: 2 opcode and status + 4 count + 10 x (4 + 100)
+        with pytest.raises(StorageError, match=r"^frame of 1046 bytes is over the 1000-byte limit$"):
+            kvs.batch_get([k(i) for i in range(10)])
+        assert kvs.batch_get([k(4), k(5)]) == [bytes([4]) * 100, bytes([0]) * 100]
+    finally:
+        kvs.close()
+        srv.shutdown()
+        srv.server_close()
+        t.join(timeout=10)
+    assert len(opened) == 1
 
 
 def _fake_server(reply: bytes):
@@ -354,7 +494,7 @@ def _fake_server(reply: bytes):
         conn, _ = listener.accept()
         with conn, listener:
             op, _ = wire.read_request(conn)
-            wire.send_response(conn, op, wire.ST_OK, reply)
+            wire.send_response(conn, op, wire.ST_OK, [reply])
             conn.recv(1)  # hold the link until the client closes
 
     t = threading.Thread(target=serve, daemon=True)
@@ -365,7 +505,7 @@ def _fake_server(reply: bytes):
 @pytest.mark.parametrize("reply", [
     struct.pack(">I", 2) + b"\x00\x05",                  # two values promised, 2 bytes sent
     struct.pack(">II", 1, 99) + b"short",                # a value length past the end
-    wire.pack_blobs([b"a", b"b"]),                       # well formed, one value too many
+    _blob_list([b"a", b"b"]),                            # well formed, one value too many
 ], ids=["truncated-header", "length-past-end", "count-mismatch"])
 def test_malformed_remote_response_is_a_storage_error(reply):
     host, port, t = _fake_server(reply)
@@ -394,7 +534,7 @@ def test_remote_transport_failure_drops_the_connection():
                     if value == b"late":
                         time.sleep(0.5)  # past the client's timeout
                     try:
-                        wire.send_response(conn, op, wire.ST_OK, wire.pack_blobs([value]))
+                        wire.send_response(conn, op, wire.ST_OK, wire.blob_pieces([value]))
                         conn.recv(1)  # until the client hangs up
                     except OSError:  # the client has gone, as it should
                         pass
