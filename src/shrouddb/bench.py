@@ -333,7 +333,8 @@ class _Scan:
     def query(self, q: Query) -> QueryResult:
         n, size = self._n, self._size
         before = self.store.counters.snapshot()
-        opened = slots.open_slots(self._cipher, self.store.batch_get(self._keys), n, size)
+        opened = slots.open_slots(self._cipher, self.store.batch_get(self._keys), n,
+                                  size).tobytes()  # the records own their payloads
         hits = sorted((unpack_record(opened[j * size:(j + 1) * size]) for j in range(n)
                        if q.a <= record_key(opened[j * size:j * size + RECORD_HEADER]) <= q.b),
                       key=lambda r: r.rid)

@@ -244,7 +244,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
             oram_key = keygen(AES_BITS, _stream(seed, f"key:oram:{j}"))
             oram_rng = _stream(seed, f"oram:{j}")
             cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload)
-            blocks = [(a, pack_record(r)) for a, r in enumerate(groups[j - 1])]
+            blocks = ((a, pack_record(r)) for a, r in enumerate(groups[j - 1]))
             state.orams.append(oram_init(cfg, oram_key, CountingKvs(store),
                                          oram_rng, namespace=j - 1, blocks=blocks))
         _install_attribute(state, "key", config.epsilon)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -63,6 +64,7 @@ __all__ = [
 DUMMY_ADDR = (1 << 64) - 1
 ADDR_SIZE = 8
 Z = 5  # block slots per bucket; the stash bound below holds for this Z
+_EMPTY = np.empty(0, np.uint8)  # a batch buffer before its first batch
 
 
 def stash_bound(x: int) -> float:
@@ -110,6 +112,15 @@ class OramState:
     independent instances, never within one. Bucket ``i`` is stored
     under ``bucket_key(i, namespace)``, so instances with distinct
     namespaces can share one store.
+
+    A block body is one row of ``addr (8) || payload`` bytes. A batch
+    lays out its rows in one buffer that it reuses: the dummy body, the
+    stash, the blocks it writes and the fetched buckets' slots, in that
+    order. It then gathers the write-back's plaintext into a second
+    reused buffer, followed by the next batch's first rows, and seals it
+    back into the first. Between batches the stash maps each address it
+    holds, in stash order, to its row in that layout, and
+    ``_stash_rows`` holds that layout's first rows.
     """
 
     def __init__(self, config: OramConfig, key: SymKey, store: Kvs,
@@ -126,12 +137,15 @@ class OramState:
         self.bucket_bytes = sealed_size(self.bucket_plain)
         self.stash_limit = default_stash_limit()
         self.pos = [rng.randrange(self.leaves) for _ in range(config.capacity)]
-        self.stash: dict[int, bytes] = {}
+        self.stash: dict[int, int] = {}
+        self._stash_rows = np.zeros((1, self.body_size), np.uint8)  # the dummy, then the stash
+        self._stash_rows[0, :ADDR_SIZE] = 0xFF  # DUMMY_ADDR
         self.stash_peak = 0
         self.overflowed = False
-        self._pending: list[tuple[bytes, bytes]] | None = None  # unconfirmed write-back
+        self._pending: list[tuple[bytes, memoryview]] | None = None  # unconfirmed write-back
+        self._buf = _EMPTY    # opened rows in, sealed buckets out
+        self._plain = _EMPTY  # the write-back's plaintext
         self._zeros = bytes(config.block_payload)
-        self._dummy_body = DUMMY_ADDR.to_bytes(ADDR_SIZE, "big") + self._zeros
         self._bucket_keys = [bucket_key(i, namespace) for i in range(self.n_buckets)]
 
     # -- protocol ---------------------------------------------------------
@@ -148,8 +162,10 @@ class OramState:
             raise StashOverflowError("stash overflowed earlier; this ORAM refuses access")
         if not ops:
             raise ParameterError("access batch must be nonempty")
+        writes = 0
         for addr, data in ops:
             self._check_block(addr, data)
+            writes += data is not None
 
         bucket_ids = sorted({b for a in {addr for addr, _ in ops}
                              for b in self._path_buckets(self.pos[a])})
@@ -160,28 +176,37 @@ class OramState:
         for blob in blobs:
             if len(blob) != self.bucket_bytes:
                 raise StorageError(f"bucket value has {len(blob)} bytes, expected {self.bucket_bytes}")
-        total = len(bucket_ids) * Z
-        bodies = open_slots(self._cipher, blobs, len(bucket_ids), self.bucket_plain)
+        n, bs = len(bucket_ids), self.body_size
+        first = 1 + len(self.stash) + writes  # row of the first fetched slot
+        rows = first + n * Z
+        self._buf = _grown(self._buf, max(rows * bs, n * self.bucket_bytes))
+        mv = memoryview(self._buf)
+        open_slots(self._cipher, blobs, n, self.bucket_plain, mv[first * bs:rows * bs])
+        src = self._buf[:rows * bs].reshape(rows, bs)
+        src[:1 + len(self.stash)] = self._stash_rows
 
-        # pull every real block on the fetched paths into the stash
-        view = np.frombuffer(bodies, dtype=np.uint8).reshape(total, self.body_size)
-        addrs = view[:, :ADDR_SIZE].copy().view(">u8").ravel()
-        bs = self.body_size
-        stash = self.stash
-        for i in np.flatnonzero(addrs != np.uint64(DUMMY_ADDR)).tolist():
-            stash[int(addrs[i])] = bodies[i * bs + ADDR_SIZE:(i + 1) * bs]
+        # the stash grows by every real block on the fetched paths
+        table = self.stash.copy()
+        table.update(zip(np.ndarray((n * Z,), ">u8", self._buf, first * bs, (bs,)).tolist(),
+                         range(first, rows)))
+        table.pop(DUMMY_ADDR, None)  # no block has the dummy's address
 
         results: list[bytes | None] = []
+        row = 1 + len(self.stash)  # the next row for a written block
         for addr, data in ops:
             if data is None:
-                results.append(stash.get(addr, self._zeros))
+                at = table.get(addr)
+                results.append(self._zeros if at is None else
+                               mv[at * bs + ADDR_SIZE:(at + 1) * bs].tobytes())
             else:
-                stash[addr] = data
+                mv[row * bs:row * bs + ADDR_SIZE] = addr.to_bytes(ADDR_SIZE, "big")
+                mv[row * bs + ADDR_SIZE:(row + 1) * bs] = data
+                table[addr] = row
+                row += 1
                 results.append(None)
             self.pos[addr] = self._draw_leaf()
 
-        self.stash, placed = self._evict(bucket_ids)
-        self._pending = self._seal(bucket_ids, placed)
+        self._pending = self._write_back(bucket_ids, src, table)
         self._flush()
         self._check_stash()
         return results
@@ -206,29 +231,39 @@ class OramState:
         return self.rng.randrange(self.leaves)
 
     def _flush(self) -> None:
-        """Store the pending write-back. On failure it stays pending, to
-        be re-sent before the next access."""
+        """Store the pending write-back, then release its views of the
+        batch buffer, so a store that kept them fails loudly rather than
+        read a later batch. On failure it stays pending, to be re-sent
+        before the next access."""
         try:
             self.store.batch_put(self._pending)
         except StorageError as exc:
             raise BatchError(f"write-back not confirmed; it is re-sent "
                              f"before the next access: {exc}") from exc
+        for _, value in self._pending:
+            value.release()
         self._pending = None
 
-    def _seal(self, bucket_ids: list[int],
-              placed: dict[int, list[tuple[int, bytes]]]) -> list[tuple[bytes, bytes]]:
-        """``(key, value)`` pairs of the given buckets, each holding its
-        placed blocks padded with dummies and sealed under a fresh nonce."""
-        parts: list[bytes] = []
-        for bid in bucket_ids:
-            blocks = placed.get(bid, ())
-            for addr, data in blocks:
-                parts.append(addr.to_bytes(ADDR_SIZE, "big"))
-                parts.append(data)
-            parts.extend([self._dummy_body] * (Z - len(blocks)))
-        n = len(bucket_ids)
-        sealed = seal_slots(self._cipher, b"".join(parts), fresh_nonces(n), n,
-                            self.bucket_plain)
+    def _write_back(self, bucket_ids: list[int], src: np.ndarray,
+                    table: dict[int, int]) -> list[tuple[bytes, memoryview]]:
+        """Evict the blocks of ``table`` (address -> row of ``src``, in
+        stash order) into the fetched buckets and keep the rest as the new
+        stash. Returns the ``(key, value)`` pairs of the buckets, each
+        holding its placed blocks padded with dummies and sealed under a
+        fresh nonce, as read-only views of the batch buffer, which the
+        caller has sized to hold them. ``src`` may lie in that buffer: it
+        is read before the buffer is written."""
+        slots, left = self._evict(bucket_ids, table)
+        slots.append(0)  # then the next batch's first rows: the dummy and the stash
+        slots.extend(map(table.__getitem__, left))
+        n, m, bs = len(bucket_ids), len(slots), self.body_size
+        self._plain = _grown(self._plain, m * bs)
+        plain = self._plain[:m * bs].reshape(m, bs)
+        np.take(src, np.frombuffer(slots, np.int64), axis=0, out=plain, mode="clip")
+        self._stash_rows = plain[n * Z:]  # the next batch copies them before it gathers
+        self.stash = {a: i for i, a in enumerate(left, 1)}
+        sealed = seal_slots(self._cipher, plain[:n * Z].data.cast("B"), fresh_nonces(n), n,
+                            self.bucket_plain, self._buf)
         return list(zip([self._bucket_keys[b] for b in bucket_ids], sealed))
 
     def _check_stash(self) -> None:
@@ -240,29 +275,40 @@ class OramState:
             self.overflowed = True
             raise StashOverflowError(f"stash holds {size} blocks, limit {self.stash_limit}")
 
-    def _evict(self, bucket_ids: list[int]):
+    def _evict(self, bucket_ids: list[int], table: dict[int, int]):
         """Greedy write-back into the fetched buckets, one pass per level
-        from the leaves up: a block, taken in leaf order, enters its bucket
-        at that level if it was fetched and has room, else it waits.
-        Returns the blocks left over, in stash order, and the placement."""
-        L, pos, stash = self.L, self.pos, self.stash
-        fetched = set(bucket_ids)
-        waiting = sorted(stash, key=pos.__getitem__)
-        placed: dict[int, list[tuple[int, bytes]]] = {}
+        from the leaves up: a block, taken in leaf order (stash order on
+        ties), enters its bucket at that level if it was fetched and has
+        room, else it waits. Returns the source row of every slot of the
+        fetched buckets, in order (row 0, the dummy, where none is
+        placed), and the addresses left over, in stash order."""
+        L, pos = self.L, self.pos
+        first = {bid: i * Z for i, bid in enumerate(bucket_ids)}
+        slots = array("q", bytes(8 * Z * len(bucket_ids)))
+        waiting = sorted(table, key=pos.__getitem__)
         for d in range(L, -1, -1):
             base, shift = (1 << d) - 1, L - d
             still: list[int] = []
-            for a in waiting:
+            bucket, at, room = -1, 0, 0
+            for a in waiting:  # sorted by leaf, so one bucket's blocks are adjacent
                 bid = base + (pos[a] >> shift)
-                if bid in fetched:
-                    got = placed.setdefault(bid, [])
-                    if len(got) < Z:
-                        got.append((a, stash[a]))
-                        continue
-                still.append(a)
+                if bid != bucket:
+                    bucket, at = bid, first.get(bid, -1)
+                    room = Z if at >= 0 else 0
+                if room:
+                    slots[at + Z - room] = table[a]
+                    room -= 1
+                else:
+                    still.append(a)
             waiting = still
         left = set(waiting)
-        return {a: p for a, p in stash.items() if a in left}, placed
+        return slots, [a for a in table if a in left] if left else []
+
+
+def _grown(buf: np.ndarray, size: int) -> np.ndarray:
+    """``buf``, or a fresh buffer if it holds fewer than ``size`` bytes.
+    A fresh one is left unfilled: every byte a batch reads it writes."""
+    return buf if len(buf) >= size else np.empty(size, np.uint8)
 
 
 def oram_init(config: OramConfig, key: SymKey, store: Kvs,
@@ -281,21 +327,34 @@ def oram_init(config: OramConfig, key: SymKey, store: Kvs,
     does.
     """
     state = OramState(config, key, store, rng, namespace)
-    initial: dict[int, bytes] = {}
-    for addr, data in blocks:
+    bs, every = state.body_size, list(range(state.n_buckets))
+    rows = 1 + config.capacity  # the dummy, then the blocks as given
+    state._buf = np.empty(max(rows * bs, state.n_buckets * state.bucket_bytes), np.uint8)
+    src = state._buf[:rows * bs].reshape(rows, bs)
+    src[0] = state._stash_rows[0]
+    table: dict[int, int] = {}
+    mv = memoryview(state._buf)
+    for row, (addr, data) in enumerate(blocks, 1):
         state._check_block(addr, data)
-        if addr in initial:
+        if addr in table:
             raise ParameterError(f"address {addr} given twice")
-        initial[addr] = data
+        table[addr] = row
+        mv[row * bs + ADDR_SIZE:(row + 1) * bs] = data
+    addrs = np.array(list(table), ">u8").view(np.uint8)
+    src[1:1 + len(table), :ADDR_SIZE] = addrs.reshape(-1, ADDR_SIZE)
     try:
         store.batch_get(state._bucket_keys[:1])
     except BatchError:
         pass
     else:
         raise StorageNotEmptyError("storage already holds a bucket tree; clear it first")
-    state.stash = initial
-    every = list(range(state.n_buckets))
-    state.stash, placed = state._evict(every)
-    store.batch_put(state._seal(every, placed))
+    pending = state._write_back(every, src, table)
+    # these buffers hold the whole tree; a batch sizes its own
+    state._stash_rows = state._stash_rows.copy()
+    state._plain = _EMPTY
+    store.batch_put(pending)
+    for _, value in pending:
+        value.release()
+    state._buf = _EMPTY
     state._check_stash()
     return state

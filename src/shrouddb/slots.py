@@ -8,10 +8,15 @@ for a ``size``-byte plaintext, so its length depends only on the
 configuration. Nonces come from OS entropy (``fresh_nonces``); callers
 never need the nonce or tag sizes. The caller owns the ``AESGCM``
 context (``cipher(key)``), so no key outlives the state that holds it.
+Both directions work in a caller's buffer (``encrypt_into`` and
+``decrypt_into``), so a caller that reuses one buffer per batch makes
+no per-message copies: sealing returns read-only views of it, opening
+one view of the plaintexts.
 """
 
 import os
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -40,44 +45,68 @@ def fresh_nonces(count: int) -> bytes:
     return os.urandom(_NONCE * count)
 
 
-def seal_slots(ctx: AESGCM, plain: bytes, nonces: bytes, count: int,
-               size: int) -> list[bytes]:
-    """Seal ``count`` messages of ``size`` bytes each.
+def _writable(out, need: int) -> memoryview:
+    """``out`` as a flat byte view, refused unless writable and at least
+    ``need`` bytes long."""
+    view = memoryview(out).cast("B")
+    if view.readonly:
+        raise ParameterError("output buffer is read-only")
+    if len(view) < need:
+        raise ParameterError(f"output buffer has {len(view)} bytes, needs {need}")
+    return view
+
+
+def seal_slots(ctx: AESGCM, plain, nonces: bytes, count: int, size: int,
+               out=None) -> list[memoryview]:
+    """Seal ``count`` messages of ``size`` bytes each into ``out``.
 
     ``plain`` is the concatenated messages and ``nonces`` their
-    concatenated nonces (``fresh_nonces(count)``); returns one sealed
-    message per plaintext, in order.
+    concatenated nonces (``fresh_nonces(count)``). The sealed messages
+    are written back to back at the start of ``out``, a writable buffer
+    of at least ``count * sealed_size(size)`` bytes (a fresh one if
+    ``None``); returns a read-only view of each, in order. A buffer that
+    is too small is refused before anything is written.
     """
     if len(plain) != count * size:
         raise ParameterError("plaintext length does not match count * size")
     if len(nonces) != count * _NONCE:
         raise ParameterError("nonce blob length does not match count")
-    encrypt = ctx.encrypt
+    step = sealed_size(size)
+    buf = _writable(bytearray(count * step) if out is None else out, count * step)
+    # every nonce in place in one strided copy; a slice assignment per message costs more
+    shape = (count, _NONCE)
+    np.ndarray(shape, np.uint8, buf, 0, (step, 1))[:] = np.ndarray(shape, np.uint8, nonces)
+    encrypt_into = ctx.encrypt_into
     src = memoryview(plain)
-    out = []
     for i in range(count):
-        nonce = nonces[i * _NONCE:(i + 1) * _NONCE]
-        out.append(nonce + encrypt(nonce, src[i * size:(i + 1) * size], None))
-    return out
+        at = i * step
+        encrypt_into(nonces[i * _NONCE:(i + 1) * _NONCE], src[i * size:(i + 1) * size], None,
+                     buf[at + _NONCE:at + step])
+    sealed = buf.toreadonly()
+    return [sealed[i * step:(i + 1) * step] for i in range(count)]
 
 
-def open_slots(ctx: AESGCM, sealed: list[bytes], count: int, size: int) -> bytes:
-    """Open ``count`` sealed messages back to their concatenated plaintexts.
+def open_slots(ctx: AESGCM, sealed: list, count: int, size: int, out=None) -> memoryview:
+    """Open ``count`` sealed messages into ``out``, back to back.
 
-    Raises ``AuthenticationError`` naming the index of the first message
-    that fails (wrong key or tampering).
+    ``out`` is a writable buffer of at least ``count * size`` bytes (a
+    fresh one if ``None``); returns the view of its first ``count *
+    size`` bytes. Sizes are checked before anything is written. Raises
+    ``AuthenticationError`` naming the index of the first message that
+    fails (wrong key or tampering).
     """
     if len(sealed) != count:
         raise ParameterError(f"got {len(sealed)} sealed messages, expected {count}")
     want = sealed_size(size)
-    decrypt = ctx.decrypt
-    out = []
     for i, msg in enumerate(sealed):
         if len(msg) != want:
             raise ParameterError(f"sealed message {i} has {len(msg)} bytes, expected {want}")
+    buf = _writable(bytearray(count * size) if out is None else out, count * size)
+    decrypt_into = ctx.decrypt_into
+    for i, msg in enumerate(sealed):
         view = memoryview(msg)
         try:
-            out.append(decrypt(view[:_NONCE], view[_NONCE:], None))
+            decrypt_into(view[:_NONCE], view[_NONCE:], None, buf[i * size:(i + 1) * size])
         except InvalidTag as exc:
             raise AuthenticationError(f"message {i} failed authentication") from exc
-    return b"".join(out)
+    return buf[:count * size]

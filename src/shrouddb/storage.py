@@ -3,14 +3,22 @@
 All backends share one contract of two batch operations: ``batch_put``
 stores every pair, ``batch_get`` returns the last value written under
 each key or raises ``BatchError`` naming the missing keys. Keys are
-8-byte ``bytes``; values are bytes-like, of any length. A value read
-back is bytes-like too: ``RemoteKvs`` returns read-only views into the
-reply it received, which keep that reply alive while any is held. Each
-batch is one round trip and holds the backend's lock throughout, so it
-is all-or-nothing to other callers.
+8-byte ``bytes``; values are bytes-like (a buffer of single bytes, not
+an ``int`` or a ``str``), of any length, and every value is checked
+before any pair is applied. A value read back is bytes-like too:
+``RemoteKvs`` returns read-only views into the reply it received, which
+keep that reply alive while any is held. Each batch is one round trip
+and holds the backend's lock throughout, so it is all-or-nothing to
+other callers.
 ``CountingKvs`` is the one wrapper: it counts round trips and logical
 traffic. Several stores share one server by key: ``bucket_key`` puts a
 12-bit namespace above a 52-bit index.
+
+A value passed to ``batch_put`` is borrowed: the ORAM passes views of a
+buffer it reuses for its next batch, and releases them once the put
+returns. A store must therefore copy or write out every value before
+``batch_put`` returns; one that keeps the value objects gets
+``ValueError`` (a released view) when it next reads them.
 """
 
 from __future__ import annotations
@@ -48,6 +56,23 @@ def _check_keys(keys: list[bytes], op: str) -> None:
             raise ParameterError(f"keys are {KEY_SIZE}-byte strings, got {key!r}")
 
 
+def _check_pairs(pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
+    """The keys of a ``batch_put``, once every key and value is valid: a
+    value is a flat buffer of single bytes, never an ``int`` or a ``str``."""
+    keys = [k for k, _ in pairs]
+    _check_keys(keys, "batch_put")
+    for _, v in pairs:
+        if type(v) is bytes:
+            continue
+        try:
+            view = v if type(v) is memoryview else memoryview(v)
+        except TypeError:
+            view = None
+        if view is None or view.ndim != 1 or view.itemsize != 1 or not view.c_contiguous:
+            raise ParameterError(f"values are bytes-like, got {type(v).__name__}")
+    return keys
+
+
 class Kvs:
     """Backend interface; subclasses provide the two batch operations."""
 
@@ -55,6 +80,8 @@ class Kvs:
         raise NotImplementedError
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
+        """Store every pair, or none. The values are borrowed: copy or
+        write out each one before returning, and keep no value object."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -84,10 +111,10 @@ class MemoryKvs(Kvs):
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         self._ensure_open()
-        _check_keys([k for k, _ in pairs], "batch_put")
+        keys = _check_pairs(pairs)
+        values = [bytes(v) for _, v in pairs]  # all converted before any is stored
         with self._lock:
-            for k, v in pairs:
-                self._data[k] = bytes(v)
+            self._data.update(zip(keys, values))
 
     def close(self) -> None:
         self._closed = True
@@ -149,8 +176,7 @@ class DiskKvs(Kvs):
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         self._ensure_open()
-        keys = [k for k, _ in pairs]
-        _check_keys(keys, "batch_put")
+        keys = _check_pairs(pairs)
         with self._lock:
             start = off = self._end
             entries = []
@@ -231,7 +257,7 @@ class RemoteKvs(Kvs):
         return blobs  # read-only views of the reply
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        _check_keys([k for k, _ in pairs], "batch_put")
+        _check_pairs(pairs)
         flat = [blob for pair in pairs for blob in pair]  # the wire's [k0, v0, k1, v1, ...]
         status, payload = self._call(wire.OP_BATCH_PUT, wire.blob_pieces(flat))
         if status != wire.ST_OK:

@@ -330,10 +330,16 @@ def test_stash_overflow_is_reported():
     assert kvs.counters.snapshot() == before
 
 
+def _copies(pairs) -> list[tuple[bytes, bytes]]:
+    """The pairs of a batch put with copies of their values, which are
+    views the ORAM reuses once the put is confirmed."""
+    return [(key, bytes(value)) for key, value in pairs]
+
+
 class FlakyPuts(MemoryKvs):
     """A store whose next ``faults`` batch puts raise: after applying the
-    pairs (a lost reply) or before (a lost request). Records every batch
-    it was sent."""
+    pairs (a lost reply) or before (a lost request). Records a copy of
+    every batch it was sent."""
 
     def __init__(self, applies: bool):
         super().__init__()
@@ -342,7 +348,7 @@ class FlakyPuts(MemoryKvs):
         self.sent: list[list] = []
 
     def batch_put(self, pairs):
-        self.sent.append(list(pairs))
+        self.sent.append(_copies(pairs))
         if self.applies or not self.faults:
             super().batch_put(pairs)
         if self.faults:
@@ -352,11 +358,17 @@ class FlakyPuts(MemoryKvs):
 
 class TornDiskKvs(DiskKvs):
     """A disk log whose gather write fails halfway through each of its
-    next ``faults`` batch puts, after the first half of the records."""
+    next ``faults`` batch puts, after the first half of the records.
+    Records a copy of every batch it was sent."""
 
     faults = 0
 
+    def __init__(self, path):
+        super().__init__(path)
+        self.sent: list[list] = []
+
     def batch_put(self, pairs):
+        self.sent.append(_copies(pairs))
         if not self.faults:
             return super().batch_put(pairs)
         self.faults -= 1
@@ -368,8 +380,8 @@ class TornDiskKvs(DiskKvs):
 @pytest.mark.parametrize("fault", ["apply-then-fail", "fail-before-apply", "disk-partial"])
 def test_write_back_failure_is_resent(fault, tmp_path):
     """A write-back that raises keeps the new stash and positions and
-    re-sends the identical sealed pairs before the next access; every
-    record reads back its value afterwards."""
+    re-sends the identical sealed pairs, byte for byte, before the next
+    access; every record reads back its value afterwards."""
     n = 2000
     if fault == "disk-partial":
         kvs = TornDiskKvs(tmp_path / "store.log")
@@ -383,10 +395,9 @@ def test_write_back_failure_is_resent(fault, tmp_path):
         with pytest.raises(BatchError, match="re-sent"):
             st.batch_access([read_op(r.randrange(n)) for _ in range(50)])
         assert st._pending is not None
-    if fault != "disk-partial":
-        failed = kvs.sent[-1]
-        st.access(read_op(0))
-        assert kvs.sent[-2] == failed  # the identical pairs, sent again
+    failed = kvs.sent[-1]
+    st.access(read_op(0))
+    assert kvs.sent[-2] == failed  # the same keys and sealed bytes, sent again
     for lo in range(0, n, 200):
         got = st.batch_access([read_op(a) for a in range(lo, lo + 200)])
         assert got == [values[a] for a in range(lo, lo + 200)]
@@ -437,6 +448,23 @@ def test_unconfirmed_write_back_refuses_access():
     assert kvs.sent[-3] == kvs.sent[-2] == kvs.sent[-1]
     assert st.access(read_op(1)) == b"good"
     assert st.access(read_op(2)) == b"new!"  # the unconfirmed write landed
+
+
+class KeepingKvs(MemoryKvs):
+    """A store that breaks the contract: it keeps the value objects it is
+    handed instead of copies."""
+
+    def batch_put(self, pairs):
+        with self._lock:
+            self._data.update(pairs)
+
+
+def test_store_that_keeps_borrowed_values_fails_loudly():
+    """Once a write-back is stored, the ORAM releases the views it passed,
+    so a store that kept them raises instead of reading later bytes."""
+    st = make(capacity=32, payload=16, store=KeepingKvs())
+    with pytest.raises(ValueError, match="released"):
+        st.access(read_op(0))
 
 
 def test_trace_records_prebatch_leaves(leaf_kvs):

@@ -65,6 +65,30 @@ def test_backend_contract(tmp_path, server):
             kvs.batch_get([k(1)])
 
 
+@pytest.mark.parametrize("backend", ["memory", "disk", "remote"])
+def test_batch_put_refuses_values_that_are_not_bytes_like(backend, tmp_path, request):
+    """A value that is not a flat buffer of bytes is refused with
+    ParameterError before any pair of its batch is stored."""
+    if backend == "memory":
+        kvs = MemoryKvs()
+    elif backend == "disk":
+        kvs = DiskKvs(tmp_path / "store.log")
+    else:
+        kvs = RemoteKvs(*request.getfixturevalue("server"))
+    try:
+        for bad in ("s", 5, None, memoryview(bytes(8)).cast("I")):
+            with pytest.raises(ParameterError, match="bytes-like"):
+                kvs.batch_put([(k(1), b"x"), (k(2), bad)])
+            with pytest.raises(BatchError):
+                kvs.batch_get([k(1)])  # the valid pair before it was not stored
+        if backend == "disk":
+            assert (tmp_path / "store.log").stat().st_size == 0
+        kvs.batch_put([(k(1), bytearray(b"ab")), (k(2), memoryview(b"cd"))])
+        assert kvs.batch_get([k(1), k(2)]) == [b"ab", b"cd"]
+    finally:
+        kvs.close()
+
+
 def test_disk_persistence(tmp_path):
     path = tmp_path / "p.log"
     d = DiskKvs(path)
