@@ -307,8 +307,10 @@ class OramState:
 
 def _grown(buf: np.ndarray, size: int) -> np.ndarray:
     """``buf``, or a fresh buffer if it holds fewer than ``size`` bytes.
-    A fresh one is left unfilled: every byte a batch reads it writes."""
-    return buf if len(buf) >= size else np.empty(size, np.uint8)
+    A fresh one has an eighth to spare, since batch sizes vary a little
+    and each regrowth leaves a freed buffer behind in the heap; it is
+    left unfilled, as every byte a batch reads it writes first."""
+    return buf if len(buf) >= size else np.empty(size + size // 8, np.uint8)
 
 
 def oram_init(config: OramConfig, key: SymKey, store: Kvs,
