@@ -215,11 +215,16 @@ class OramState:
 
     def _check_block(self, addr: int, data: bytes | None) -> None:
         """Reject an address outside the capacity, or data that is not
-        exactly one block payload long."""
+        bytes exactly one block payload long, before a batch changes any
+        state."""
         capacity, payload = self.config.capacity, self.config.block_payload
         if not 0 <= addr < capacity:
             raise AddressError(f"address {addr} outside [0, {capacity})")
-        if data is not None and len(data) != payload:
+        if data is None:
+            return
+        if not isinstance(data, (bytes, bytearray)):
+            raise ParameterError(f"block {addr} is a {type(data).__name__}, not bytes")
+        if len(data) != payload:
             raise ParameterError(f"block {addr} is {len(data)} bytes, "
                                  f"block payload is {payload}")
 

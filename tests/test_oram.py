@@ -115,6 +115,7 @@ def test_init_overflow_refuses_later_access(monkeypatch):
     ([(-1, b"abcd")], AddressError),
     ([(0, b"abcd"), (1, b"abc")], ParameterError),
     ([(3, b"abcd"), (5, b"abcd"), (3, b"efgh")], ParameterError),
+    ([(0, b"abcd"), (1, "abcd")], ParameterError),
 ])
 def test_init_validates_blocks_before_storage(blocks, error):
     kvs = CountingKvs(MemoryKvs())
@@ -216,6 +217,19 @@ def test_op_shape_validation():
     st = make(payload=4)
     with pytest.raises(ParameterError):
         st.access(write_op(0, b"too long"))
+
+
+def test_payload_that_is_not_bytes_is_refused_before_any_change():
+    """A str of the right length is refused before the batch redraws a
+    position or touches storage, so every block still reads back."""
+    kvs = CountingKvs(MemoryKvs())
+    values = {a: a.to_bytes(4, "big") for a in range(64)}
+    st = make(capacity=64, payload=4, store=kvs, blocks=values.items())
+    before = kvs.counters.snapshot()
+    with pytest.raises(ParameterError, match="not bytes"):
+        st.batch_access([read_op(5), write_op(6, "abcd")])
+    assert kvs.counters.snapshot() == before
+    assert st.batch_access([read_op(a) for a in range(64)]) == [values[a] for a in range(64)]
 
 
 def test_dict_oracle_workload(rng, leaf_kvs):
