@@ -11,14 +11,15 @@ held to, and the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.stats import chi2_contingency
 
 from shrouddb.errors import ParameterError
 from shrouddb.rng import derive_stream
-from shrouddb.sanitizer import _tree_height, alpha_point, alpha_range, tree_nodes_count
+from shrouddb.sanitizer import (_key_counts, _tree_height, alpha_point, alpha_range,
+                                tree_nodes_count)
 
 __all__ = [
     "AuditReport",
@@ -83,13 +84,8 @@ def audit_dp_ratio(mechanism, keys_a: list[int], keys_b: list[int], N: int,
     samples on both sides are skipped; a tail that only one input can
     reach is an immediate failure.
     """
-    ha = [0] * N
-    for v in keys_a:
-        ha[v] += 1
-    hb = [0] * N
-    for v in keys_b:
-        hb[v] += 1
-    if sum(abs(x - y) for x, y in zip(ha, hb)) != 1:
+    diff = _key_counts(keys_a, N) - _key_counts(keys_b, N)
+    if np.abs(diff).sum() != 1:
         raise ParameterError("inputs must be neighbors: histograms differing by one")
     out_a = np.array([mechanism(keys_a, derive_stream(seed, f"dp:a:{i}"))
                       for i in range(reps)])
@@ -114,41 +110,36 @@ def audit_dp_ratio(mechanism, keys_a: list[int], keys_b: list[int], N: int,
         passed=worst <= bound, sample_size=reps)
 
 
-def _laplace_keep_probability(alpha: int, rate: Decimal) -> Decimal:
-    """Pr[Lap(1/rate) > -alpha] = 1 - exp(-alpha * rate) / 2 for alpha >= 0."""
-    return 1 - (-alpha * rate).exp() / 2
+def _minimality(name: str, alpha: int, epsilon: float, h: int, draws: int,
+                beta: float) -> AuditReport:
+    """Confirms in 60-digit arithmetic that ``alpha`` keeps ``draws``
+    Laplace(h / epsilon) counters above ``-alpha`` together w.p.
+    ``1 - beta``, using Pr[Lap(b) > -a] = 1 - exp(-a / b) / 2, and that
+    ``alpha - 1`` would not."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rate = Decimal(repr(epsilon)) / h
+        floor = 1 - Decimal(repr(beta))
 
+        def holds(a: int) -> bool:
+            return (1 - (-a * rate).exp() / 2) ** draws >= floor
 
-def _guarantee_holds(alpha: int, rate: Decimal, draws: int, beta: Decimal) -> bool:
-    return _laplace_keep_probability(alpha, rate) ** draws >= 1 - beta
+        ok = holds(alpha)
+        minimal = alpha == 0 or not holds(alpha - 1)
+    return AuditReport(
+        name=name, statistic=float(alpha), threshold=float(alpha),
+        passed=ok and minimal, sample_size=draws,
+        detail="holds" + ("+minimal" if minimal else "+NOT-minimal"))
 
 
 def audit_alpha_point_minimality(epsilon: float, beta: float, N: int) -> AuditReport:
-    """Confirms in 60-digit arithmetic that the point bias satisfies the
-    all-bins guarantee and that one less would not."""
-    getcontext().prec = 60
-    alpha = alpha_point(epsilon, beta, N)
-    rate = Decimal(repr(epsilon))
-    b = Decimal(repr(beta))
-    ok = _guarantee_holds(alpha, rate, N, b)
-    minimal = alpha == 0 or not _guarantee_holds(alpha - 1, rate, N, b)
-    return AuditReport(
-        name="alpha-point-minimality", statistic=float(alpha),
-        threshold=float(alpha), passed=ok and minimal, sample_size=N,
-        detail="holds" + ("+minimal" if minimal else "+NOT-minimal"))
+    """The point bias satisfies the all-bins guarantee; one less would not."""
+    return _minimality("alpha-point-minimality", alpha_point(epsilon, beta, N),
+                       epsilon, 1, N, beta)
 
 
 def audit_alpha_range_minimality(epsilon: float, beta: float, N: int,
                                  k: int) -> AuditReport:
     """Same check for the aggregate tree, where noise scales with height."""
-    getcontext().prec = 60
-    alpha = alpha_range(epsilon, beta, N, k)
-    nodes = tree_nodes_count(N, k)
-    rate = Decimal(repr(epsilon)) / _tree_height(N, k)
-    b = Decimal(repr(beta))
-    ok = _guarantee_holds(alpha, rate, nodes, b)
-    minimal = alpha == 0 or not _guarantee_holds(alpha - 1, rate, nodes, b)
-    return AuditReport(
-        name="alpha-range-minimality", statistic=float(alpha),
-        threshold=float(alpha), passed=ok and minimal, sample_size=nodes,
-        detail="holds" + ("+minimal" if minimal else "+NOT-minimal"))
+    return _minimality("alpha-range-minimality", alpha_range(epsilon, beta, N, k),
+                       epsilon, _tree_height(N, k), tree_nodes_count(N, k), beta)

@@ -164,12 +164,17 @@ def generate_dataset(n: int, domain: int, record_size: int, seed: int,
 def generate_queries(domain: int, selectivity: float, count: int, seed: int,
                      kind: str = "range", sampling: str = "uniform",
                      data_keys: list[int] | None = None) -> list[Query]:
-    """Query workload: ranges span ``round(selectivity * domain)`` values;
-    ``cdf`` sampling centers ranges on keys drawn from the data."""
+    """Query workload: ranges span ``round(selectivity * domain)`` values
+    and point queries one; ``cdf`` sampling centers them on keys drawn
+    from the data."""
     if count < 1:
         raise ParameterError("query count must be >= 1")
     if sampling not in SAMPLINGS:
         raise ParameterError(f"unknown query sampling {sampling!r}")
+    if kind not in QUERY_KINDS:
+        raise ParameterError(f"unknown query kind {kind!r}")
+    if not math.isfinite(selectivity):
+        raise ParameterError(f"selectivity {selectivity} is not finite")
     rng = derive_stream(seed, "queries")
     if sampling == "cdf":
         if not data_keys:
@@ -178,14 +183,7 @@ def generate_queries(domain: int, selectivity: float, count: int, seed: int,
             if not 0 <= key < domain:
                 raise DataError(f"data key {key} outside [0, {domain})")
     out: list[Query] = []
-    if kind == "point":
-        for _ in range(count):
-            a = rng.choice(data_keys) if sampling == "cdf" else rng.randrange(domain)
-            out.append(point_query(a))
-        return out
-    if kind != "range":
-        raise ParameterError(f"unknown query kind {kind!r}")
-    span = round(selectivity * domain)
+    span = 1 if kind == "point" else round(selectivity * domain)
     if span < 1:
         raise ParameterError(
             f"selectivity {selectivity} spans no values over domain {domain}")

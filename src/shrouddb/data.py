@@ -41,6 +41,8 @@ class Database:
         rids = {r.rid for r in self.records}
         if len(rids) != len(self.records):
             raise DataError("record ids must be unique")
+        if "key" in self.attributes:
+            raise DataError("column name 'key' is reserved for Record.key")
         for name, column in self.attributes.items():
             if len(column) != len(self.records):
                 raise DataError(f"column {name!r} has {len(column)} values "

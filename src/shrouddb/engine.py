@@ -85,8 +85,7 @@ def compute_gamma(m: int, beta: float, k0: int) -> float:
     ``(1 + gamma) * k0 / m`` of ``k0`` records spread over ``m`` bins."""
     if m < 1:
         raise ParameterError("partition count must be >= 1")
-    if not 0.0 < beta < 1.0:
-        raise ParameterError("beta must be in (0, 1)")
+    sanitizer.check_privacy(beta=beta)
     if k0 < 1:
         raise ParameterError("count must be >= 1")
     return math.sqrt(-3.0 * m * math.log(beta) / k0)
@@ -108,22 +107,21 @@ class EngineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.m < 1:
-            raise ParameterError("partition count must be >= 1")
+        if not 1 <= self.m <= META_NAMESPACE:  # ORAM j keys its buckets under j - 1
+            raise ParameterError(f"partition count must be in [1, {META_NAMESPACE}]")
         if self.mode == "single" and self.m != 1:
             raise ParameterError("single mode uses exactly one ORAM")
         if self.domain < 1:
             raise ParameterError("domain size must be >= 1")
         if self.record_size < 1:
             raise ParameterError("record size must be >= 1")
-        if self.epsilon <= 0.0:
-            raise ParameterError("epsilon must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError("beta must be in (0, 1)")
+        sanitizer.check_privacy(self.epsilon, self.beta)
         if self.fanout < 2:
             raise ParameterError("sanitizer fanout must be >= 2")
-        if self.budget is not None and self.budget < self.epsilon:
-            raise BudgetError(f"budget {self.budget} below first epsilon {self.epsilon}")
+        if self.budget is not None:
+            sanitizer.check_privacy(self.budget)
+            if self.budget < self.epsilon:
+                raise BudgetError(f"budget {self.budget} below first epsilon {self.epsilon}")
 
 
 @dataclass
@@ -256,27 +254,24 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
 
 def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
     config = state.config
-    column = state.db.column(attribute)
-    for v in column:
-        if not 0 <= v < config.domain:
-            raise DataError(f"column {attribute!r} value {v} outside "
-                            f"[0, {config.domain})")
-    index = bptree.create_index(column)
+    values = np.asarray(state.db.column(attribute))
+    outside = (values < 0) | (values >= config.domain)
+    if outside.any():
+        raise DataError(f"column {attribute!r} value {values[outside][0]} outside "
+                        f"[0, {config.domain})")
+    index = bptree.create_index(values)
 
     k = config.fanout
     N = _pad_domain(config.domain, k)
     if config.mode == "no-gamma":
-        group = []
-        values = np.asarray(column)
-        for j in range(1, config.m + 1):
-            keys = values[state.oram_of == j].tolist()
-            rng = _stream(state.seed, f"sanitizer:{attribute}:{j}")
-            group.append(sanitizer.build_range_sanitizer(
-                keys, N, k, epsilon, config.beta, rng))
+        group = [sanitizer.build_range_sanitizer(
+                     values[state.oram_of == j], N, k, epsilon, config.beta,
+                     _stream(state.seed, f"sanitizer:{attribute}:{j}"))
+                 for j in range(1, config.m + 1)]
     else:
         rng = _stream(state.seed, f"sanitizer:{attribute}:0")
         group = [sanitizer.build_range_sanitizer(
-            column, N, k, epsilon, config.beta, rng)]
+            values, N, k, epsilon, config.beta, rng)]
     slot = sum(map(len, state.sanitizers.values()))  # the sanitizers already stored
     state.store.batch_put([(bucket_key(slot + i, META_NAMESPACE), sanitizer.serialize(ds))
                            for i, ds in enumerate(group)])
@@ -292,8 +287,7 @@ def register_attribute(state: EngineState, attribute: str, epsilon: float) -> No
     must stay within ``config.budget`` when one is set. Like ``query``,
     it refuses a closed state and does not run beside a query.
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    sanitizer.check_privacy(epsilon)
     with _exclusive(state):
         if attribute in state.indexes:
             raise ParameterError(f"attribute {attribute!r} already registered")

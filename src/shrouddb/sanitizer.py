@@ -26,6 +26,7 @@ import numpy as np
 from shrouddb.errors import DataError, ParameterError, QueryError
 
 __all__ = [
+    "check_privacy",
     "laplace_sample",
     "alpha_point",
     "alpha_range",
@@ -58,20 +59,33 @@ def laplace_sample(mean: float, scale: float, rng: random.Random) -> float:
     return mean - scale * math.copysign(1.0, d) * math.log(1.0 - 2.0 * abs(d))
 
 
-def _check_eps_beta(epsilon: float, beta: float) -> None:
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
-    if not 0.0 < beta < 1.0:
-        raise ParameterError("beta must be in (0, 1)")
+def check_privacy(epsilon: float | None = None, beta: float | None = None) -> None:
+    """Refuse an ``epsilon`` that is not positive and finite and a ``beta``
+    outside (0, 1); the one statement of both rules, NaN included."""
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    if beta is not None and not 0.0 < beta < 1.0:
+        raise ParameterError(f"beta must be in (0, 1), got {beta}")
+
+
+def _bias(epsilon: float, beta: float, draws: int, h: int) -> int:
+    """Smallest integer ``alpha`` such that ``draws`` independent
+    Laplace(h / epsilon) noises all exceed ``-alpha`` w.p. ``1 - beta``."""
+    check_privacy(epsilon, beta)
+    arg = 2.0 - 2.0 * (1.0 - beta) ** (1.0 / draws)
+    if arg == 0.0:
+        raise ParameterError(f"beta {beta} is too small to resolve over {draws} counters")
+    bias = -math.log(arg) * h / epsilon
+    if not math.isfinite(bias):
+        raise ParameterError(f"epsilon {epsilon} is too small: the bias is unbounded")
+    return max(0, math.ceil(bias))
 
 
 def alpha_point(epsilon: float, beta: float, N: int) -> int:
     """Smallest bias keeping all ``N`` bins non-negative w.p. ``1 - beta``."""
-    _check_eps_beta(epsilon, beta)
     if N < 1:
         raise ParameterError("domain size must be >= 1")
-    arg = 2.0 - 2.0 * (1.0 - beta) ** (1.0 / N)
-    return max(0, math.ceil(-math.log(arg) / epsilon))
+    return _bias(epsilon, beta, N, 1)
 
 
 def _tree_height(N: int, k: int) -> int:
@@ -96,13 +110,10 @@ def tree_nodes_count(N: int, k: int) -> int:
 
 def alpha_range(epsilon: float, beta: float, N: int, k: int) -> int:
     """Per-node bias for the aggregate tree; noise scale grows with height."""
-    _check_eps_beta(epsilon, beta)
     h = _tree_height(N, k)
     if h < 1:
         raise ParameterError("tree needs at least one level: require N >= k")
-    nodes = (k ** h - 1) // (k - 1) + N
-    arg = 2.0 - 2.0 * (1.0 - beta) ** (1.0 / nodes)
-    return max(0, math.ceil(-math.log(arg) * h / epsilon))
+    return _bias(epsilon, beta, tree_nodes_count(N, k), h)
 
 
 @dataclass(frozen=True)
@@ -181,15 +192,21 @@ class AggregateTree:
         return sum(self.counts[self.node_index(lv, i)] for lv, i in cover)
 
 
+def _key_counts(keys, N: int) -> np.ndarray:
+    """How many of ``keys`` take each value of ``[0, N)``; a key that is
+    not an integer in that range is a ``DataError`` naming it."""
+    values = np.asarray(keys)
+    bad = ~((values >= 0) & (values < N) & (values % 1 == 0))
+    if bad.any():
+        raise DataError(f"key {values[bad][0]} is not an integer in [0, {N})")
+    return np.bincount(values.astype(np.int64), minlength=N)
+
+
 def build_point_sanitizer(keys: list[int], N: int, epsilon: float, beta: float,
                           rng: random.Random) -> PointHistogram:
     """Histogram of ``keys`` over ``[0, N)`` with biased Laplace noise per bin."""
     alpha = alpha_point(epsilon, beta, N)
-    for v in keys:
-        if not 0 <= v < N:
-            raise DataError(f"key {v} outside domain [0, {N})")
-    true = np.bincount(keys, minlength=N) if keys else np.zeros(N, dtype=np.int64)
-    bins, clamped = _noisy_counts(true, alpha, 1.0 / epsilon, rng)
+    bins, clamped = _noisy_counts(_key_counts(keys, N), alpha, 1.0 / epsilon, rng)
     return PointHistogram(SanitizerParams(N, 0, alpha, epsilon), bins, clamped)
 
 
@@ -200,12 +217,7 @@ def build_range_sanitizer(keys: list[int], N: int, k: int, epsilon: float,
     breadth-first order."""
     alpha = alpha_range(epsilon, beta, N, k)
     h = _tree_height(N, k)
-    for v in keys:
-        if not 0 <= v < N:
-            raise DataError(f"key {v} outside domain [0, {N})")
-    leaf = np.bincount(keys, minlength=N).astype(np.int64) if keys \
-        else np.zeros(N, dtype=np.int64)
-    levels = [leaf]
+    levels = [_key_counts(keys, N)]
     for _ in range(h):
         levels.append(levels[-1].reshape(-1, k).sum(axis=1))
     levels.reverse()  # root level first
@@ -251,8 +263,7 @@ def compose(budgets: list[float], disjoint: bool) -> float:
     if not budgets:
         raise ParameterError("no budgets to compose")
     for e in budgets:
-        if e <= 0.0:
-            raise ParameterError("epsilon must be positive")
+        check_privacy(e)
     return max(budgets) if disjoint else math.fsum(budgets)
 
 

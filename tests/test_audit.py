@@ -10,7 +10,7 @@ from shrouddb.audit import (
     audit_dp_ratio,
     audit_obliviousness,
 )
-from shrouddb.errors import ParameterError
+from shrouddb.errors import DataError, ParameterError
 from shrouddb.sanitizer import laplace_sample
 
 LN2 = math.log(2)
@@ -87,6 +87,13 @@ def test_non_neighbors_rejected():
     with pytest.raises(ParameterError):
         audit_dp_ratio(counting_mechanism(2.0), KEYS_A, KEYS_A,
                        N=10, epsilon=LN2)
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_keys_outside_domain_rejected(bad):
+    with pytest.raises(DataError, match=f"key {bad}"):
+        audit_dp_ratio(counting_mechanism(2.0), KEYS_A + [bad], KEYS_B + [bad],
+                       N=10, epsilon=LN2, reps=10)
 
 
 # -- bias minimality ---------------------------------------------------------------

@@ -111,6 +111,20 @@ def test_selectivity_bounds():
         generate_queries(1000, 0.0001, 5, seed=0)  # span rounds to zero
     with pytest.raises(ParameterError):
         generate_queries(10, 1.5, 5, seed=0)
+    for kind in ("range", "point"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="not finite"):
+                generate_queries(100, bad, 5, seed=0, kind=kind)
+
+
+@pytest.mark.parametrize("sampling, keys", [("uniform", None), ("cdf", [5, 9, 77, 99])])
+def test_point_queries_are_ranges_of_span_one(sampling, keys):
+    # a point query ignores the selectivity and spans one value
+    points = generate_queries(100, 0.3, 200, seed=6, kind="point",
+                              sampling=sampling, data_keys=keys)
+    assert points == generate_queries(100, 0.01, 200, seed=6, sampling=sampling,
+                                      data_keys=keys)
+    assert all(q == point_query(q.a) for q in points)
 
 
 def test_cdf_ranges_cover_a_data_key():
@@ -260,8 +274,14 @@ GEN_POINTS = ["gen-queries", "--domain", "10", "--queries", "3", "--seed", "1",
      "record 1 key 50 outside [0, 10)"),
     (RUN + ["--record-size", "0", "--mode", "linear-scan"], {}, "record size must be >= 1"),
     (GEN_POINTS, {"d": "id,key\n0,50\n1,3\n"}, "data key 50 outside [0, 10)"),
+    (RUN + ["--epsilon", "inf"], {}, "epsilon must be positive"),
+    (RUN + ["--epsilon", "nan"], {}, "epsilon must be positive"),
+    (RUN + ["--epsilon", "1e-320"], {}, "epsilon 1e-320 is too small"),
+    (RUN + ["--beta", "1e-300"], {}, "beta 1e-300 is too small"),
+    (RUN + ["--selectivity", "nan"], {}, "selectivity nan is not finite"),
 ], ids=["no-histogram-file", "histogram-row", "dataset-row", "queries-header",
-        "scan-query-domain", "scan-key-domain", "scan-record-size", "cdf-point-key-domain"])
+        "scan-query-domain", "scan-key-domain", "scan-record-size", "cdf-point-key-domain",
+        "epsilon-inf", "epsilon-nan", "epsilon-subnormal", "beta-tiny", "selectivity-nan"])
 def test_cli_input_errors_exit_2(argv, files, message, tmp_path, capsys):
     paths = {}
     for name, text in files.items():

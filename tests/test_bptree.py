@@ -69,6 +69,11 @@ def test_create_index_on_extra_column():
     assert lookup(create_index(db.column("key")), point_query(0)).tolist() == list(range(100))
 
 
+def test_column_named_key_rejected():
+    with pytest.raises(DataError, match="'key' is reserved"):
+        Database([Record(0, 3, b"")], {"key": [7]})
+
+
 def test_duplicate_rids_rejected():
     with pytest.raises(DataError):
         Database([Record(1, 0, b""), Record(1, 1, b"")])

@@ -92,6 +92,15 @@ def test_config_validation():
         config(m=0)
     with pytest.raises(BudgetError):
         config(epsilon=1.0, budget=0.5)
+    for bad in [{"epsilon": math.nan}, {"epsilon": math.inf}, {"beta": math.nan},
+                {"budget": math.nan}]:
+        with pytest.raises(ParameterError):
+            config(**bad)
+    # ORAM j stores under namespace j - 1, so ORAM 4096 would share the
+    # sanitizers' META_NAMESPACE (4095); only the configs are built here
+    assert config(m=4095).m == 4095
+    with pytest.raises(ParameterError, match="partition count"):
+        config(m=4096)
 
 
 def test_setup_validates_records():
@@ -389,6 +398,22 @@ def test_budget_enforced():
     try:
         with pytest.raises(BudgetError):
             register_attribute(state, "aux", 0.6)
+    finally:
+        state.close()
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0])
+def test_register_attribute_refuses_bad_epsilon(epsilon):
+    db = small_db(n=50)
+    db.attributes["aux"] = [r.key for r in db.records]
+    store = RecordingKvs()
+    state = setup(db, config(m=1, budget=5.0), store, seed=5)
+    try:
+        log = {ns: list(ops) for ns, ops in store.log.items()}
+        with pytest.raises(ParameterError, match="epsilon must be positive"):
+            register_attribute(state, "aux", epsilon)
+        assert store.log == log  # nothing was uploaded
+        assert "aux" not in state.budgets
     finally:
         state.close()
 

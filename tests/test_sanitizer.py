@@ -92,14 +92,28 @@ def test_alpha_range_needs_one_level():
 
 
 def test_parameter_validation():
-    for bad in [0.0, -1.0]:
-        with pytest.raises(ParameterError):
+    for bad in [0.0, -1.0, math.nan, math.inf]:
+        with pytest.raises(ParameterError, match="epsilon must be positive"):
             alpha_point(bad, 0.5, 4)
-    for bad in [0.0, 1.0, -0.5]:
-        with pytest.raises(ParameterError):
+    for bad in [0.0, 1.0, -0.5, math.nan, math.inf]:
+        with pytest.raises(ParameterError, match=r"beta must be in \(0, 1\)"):
             alpha_point(LN2, bad, 4)
     with pytest.raises(ParameterError):
         laplace_sample(0.0, 0.0, random.Random(1))
+
+
+def test_unresolvable_bias_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="beta"):
+        alpha_range(LN2, 1e-300, 4096, 16)  # 1 - beta rounds to 1
+    with pytest.raises(ParameterError, match="epsilon"):
+        alpha_point(1e-320, 0.01, 10)  # the bias overflows to infinity
+
+
+def test_builders_refuse_non_integer_keys():
+    with pytest.raises(DataError, match="key 1.5"):
+        build_point_sanitizer([0, 1.5], 4, LN2, 0.5, MedianRng())
+    with pytest.raises(DataError, match="key -1"):
+        build_range_sanitizer([0, -1], 4, 2, LN2, 0.5, MedianRng())
 
 
 # -- the Laplace sampler ------------------------------------------------------
@@ -361,8 +375,9 @@ def test_compose_sum_and_max():
 def test_compose_validation():
     with pytest.raises(ParameterError):
         compose([], disjoint=False)
-    with pytest.raises(ParameterError):
-        compose([0.5, -0.1], disjoint=True)
+    for bad in [-0.1, math.nan, math.inf]:
+        with pytest.raises(ParameterError, match="epsilon must be positive"):
+            compose([0.5, bad], disjoint=True)
 
 
 # -- serialization ---------------------------------------------------------------
