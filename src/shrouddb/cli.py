@@ -12,40 +12,38 @@ unsuccessful.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 import time
 
 from shrouddb import bench
 from shrouddb.errors import ShroudError
 
-LN2 = math.log(2)
-
 
 def _add_run(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="run one experiment and write metrics")
-    p.add_argument("--mode", choices=["single", "gamma", "no-gamma", "linear-scan"],
-                   default="gamma")
+    # a setting ExperimentSpec gives a default takes it from there
+    p.set_defaults(handler=_cmd_run, **{
+        f.name: f.default for f in dataclasses.fields(bench.ExperimentSpec)
+        if f.default is not dataclasses.MISSING})
+    p.add_argument("--mode", choices=["single", "gamma", "no-gamma", "linear-scan"])
     p.add_argument("--n", type=int, default=1000, help="records to synthesize")
     p.add_argument("--domain", type=int, default=10000, help="search key domain size")
     p.add_argument("--record-size", type=int, default=1024, help="payload bytes")
     p.add_argument("--selectivity", type=float, default=0.005,
                    help="range span as a fraction of the domain")
     p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=LN2, help="privacy budget")
-    p.add_argument("--beta", type=float, default=2.0 ** -20,
-                   help="allowed failure probability")
-    p.add_argument("--fanout", type=int, default=16, help="sanitizer tree fanout")
-    p.add_argument("--orams", type=int, default=1, help="number of ORAM partitions")
-    p.add_argument("--storage", default="memory",
-                   help="memory, disk, or remote=HOST:PORT")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epsilon", type=float, help="privacy budget")
+    p.add_argument("--beta", type=float, help="allowed failure probability")
+    p.add_argument("--fanout", type=int, help="sanitizer tree fanout")
+    p.add_argument("--orams", type=int, dest="m", help="number of ORAM partitions")
+    p.add_argument("--storage", help="memory, disk, or remote=HOST:PORT")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="metrics CSV path")
-    p.add_argument("--distribution", choices=list(bench.DISTRIBUTIONS),
-                   default="uniform")
+    p.add_argument("--distribution", choices=list(bench.DISTRIBUTIONS))
     p.add_argument("--histogram-file", help="lo,hi,count CSV for --distribution histogram")
-    p.add_argument("--query-sampling", choices=list(bench.SAMPLINGS), default="uniform")
-    p.add_argument("--query-kind", choices=list(bench.QUERY_KINDS), default="range")
+    p.add_argument("--query-sampling", choices=list(bench.SAMPLINGS))
+    p.add_argument("--query-kind", choices=list(bench.QUERY_KINDS))
     p.add_argument("--dataset", help="id,key CSV instead of synthesizing")
     p.add_argument("--queries-file", help="a,b CSV instead of sampling")
     p.add_argument("--data-dir", help="directory for the disk backend")
@@ -55,6 +53,7 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
 
 def _add_gen_data(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("gen-data", help="write an id,key dataset CSV")
+    p.set_defaults(handler=_cmd_gen_data)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--domain", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -66,6 +65,7 @@ def _add_gen_data(sub: argparse._SubParsersAction) -> None:
 
 def _add_gen_queries(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("gen-queries", help="write an a,b query CSV")
+    p.set_defaults(handler=_cmd_gen_queries)
     p.add_argument("--domain", type=int, required=True)
     p.add_argument("--selectivity", type=float, default=0.005)
     p.add_argument("--queries", type=int, required=True)
@@ -78,19 +78,15 @@ def _add_gen_queries(sub: argparse._SubParsersAction) -> None:
 
 def _add_serve(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("serve", help="serve a storage backend over TCP")
+    p.set_defaults(handler=_cmd_serve)
     p.add_argument("--listen", default="127.0.0.1:0", help="HOST:PORT (port 0 picks one)")
     p.add_argument("--backend", choices=["memory", "disk"], default="memory")
     p.add_argument("--data-dir", help="directory for the disk backend")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = bench.ExperimentSpec(
-        n=args.n, domain=args.domain, record_size=args.record_size,
-        selectivity=args.selectivity, queries=args.queries, mode=args.mode,
-        m=args.orams, epsilon=args.epsilon, beta=args.beta, fanout=args.fanout,
-        storage=args.storage, seed=args.seed,
-        distribution=args.distribution, histogram_file=args.histogram_file,
-        query_sampling=args.query_sampling, query_kind=args.query_kind)
+    spec = bench.ExperimentSpec(**{f.name: getattr(args, f.name)
+                                   for f in dataclasses.fields(bench.ExperimentSpec)})
     clock = bench.FixedClock() if args.fixed_clock else time.perf_counter
     result = bench.run_experiment(spec, clock=clock, dataset=args.dataset,
                                   queries_file=args.queries_file,
@@ -147,18 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_gen_queries(sub)
     _add_serve(sub)
     args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "gen-data": _cmd_gen_data,
-        "gen-queries": _cmd_gen_queries,
-        "serve": _cmd_serve,
-    }
     try:
-        return handlers[args.command](args)
-    except ShroudError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.handler(args)
+    except (ShroudError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

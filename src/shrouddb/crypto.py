@@ -1,15 +1,15 @@
 """Symmetric keys and a PRF.
 
-``SymKey`` holds an AES key, used by ``shrouddb.slots`` for AES-GCM
-sealing (``nonce (12) || ciphertext || tag (16)``, one message per ORAM
-bucket). The PRF is CMAC-AES; it drives the record-to-ORAM partition
-hash and stays deterministic under a fixed key.
+A key is plain bytes, 16 or 32 of them, used by ``shrouddb.slots`` for
+AES-GCM sealing (``nonce (12) || ciphertext || tag (16)``, one message
+per ORAM bucket); ``slots.cipher`` refuses any other length. The PRF is
+CMAC-AES; it drives the record-to-ORAM partition hash and stays
+deterministic under a fixed key.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.ciphers import algorithms
@@ -18,7 +18,6 @@ from shrouddb.errors import ParameterError
 
 __all__ = [
     "KEY_BITS",
-    "SymKey",
     "keygen",
     "prf",
     "partition_of",
@@ -27,35 +26,21 @@ __all__ = [
 KEY_BITS = (128, 256)
 
 
-@dataclass(frozen=True)
-class SymKey:
-    """Symmetric key of ``bits`` length, used for both directions."""
-
-    data: bytes
-    bits: int
-
-    def __post_init__(self):
-        if self.bits not in KEY_BITS:
-            raise ParameterError(f"unsupported key size {self.bits}, expected one of {KEY_BITS}")
-        if len(self.data) * 8 != self.bits:
-            raise ParameterError(f"key material is {len(self.data)} bytes, expected {self.bits // 8}")
-
-
-def keygen(bits: int, rng: random.Random) -> SymKey:
+def keygen(bits: int, rng: random.Random) -> bytes:
     """Draw a uniformly random key of ``bits`` ∈ {128, 256} from ``rng``."""
     if bits not in KEY_BITS:
         raise ParameterError(f"unsupported key size {bits}, expected one of {KEY_BITS}")
-    return SymKey(rng.randbytes(bits // 8), bits)
+    return rng.randbytes(bits // 8)
 
 
-def prf(key: SymKey, data: bytes) -> bytes:
+def prf(key: bytes, data: bytes) -> bytes:
     """Deterministic 16-byte pseudo-random function of ``data``."""
-    mac = CMAC(algorithms.AES(key.data))
+    mac = CMAC(algorithms.AES(key))
     mac.update(data)
     return mac.finalize()
 
 
-def partition_of(key: SymKey, record_id: int, m: int) -> int:
+def partition_of(key: bytes, record_id: int, m: int) -> int:
     """Hash a record ID into a store index in [1, m]."""
     if m < 1:
         raise ParameterError("partition count must be >= 1")

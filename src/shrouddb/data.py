@@ -8,9 +8,22 @@ from dataclasses import dataclass, field
 from shrouddb.errors import DataError, ParameterError
 
 __all__ = ["Record", "Database", "Query", "RECORD_HEADER", "pack_record", "unpack_record",
-           "record_key"]
+           "record_key", "is_bytes_like"]
 
 RECORD_HEADER = 16  # rid (8) and key (8) before the payload
+
+
+def is_bytes_like(value) -> bool:
+    """Whether ``value`` is a flat buffer of single bytes: ``bytes``, a
+    ``bytearray`` or a one-dimensional contiguous byte view, never an
+    ``int`` or a ``str``. Records, stores and ORAM blocks share this rule."""
+    if type(value) is bytes:
+        return True
+    try:
+        view = value if type(value) is memoryview else memoryview(value)
+    except TypeError:
+        return False
+    return view.ndim == 1 and view.itemsize == 1 and view.c_contiguous
 
 
 @dataclass(frozen=True)
@@ -22,8 +35,13 @@ class Record:
     payload: bytes
 
     def __post_init__(self):
-        if self.rid < 0:
-            raise DataError("record id must be non-negative")
+        if not isinstance(self.rid, int) or not 0 <= self.rid < 1 << 64:
+            raise DataError(f"record id {self.rid!r} is not an int in [0, 2^64)")
+        if not isinstance(self.key, int):
+            raise DataError(f"record {self.rid} key {self.key!r} is not an int")
+        if not is_bytes_like(self.payload):
+            raise DataError(f"record {self.rid} payload is a "
+                            f"{type(self.payload).__name__}, not bytes")
 
 
 @dataclass
@@ -70,6 +88,8 @@ class Query:
     attribute: str = "key"
 
     def __post_init__(self):
+        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+            raise ParameterError(f"range bounds {self.a!r}, {self.b!r} are not ints")
         if self.a > self.b:
             raise ParameterError(f"empty range [{self.a}, {self.b}]")
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -136,20 +136,22 @@ class QueryResult:
     roundtrips: int
     bytes_up: int
     bytes_down: int
-    oram_accesses: int
 
 
 @dataclass
 class EngineState:
     """Client-side state: keys, maps, stashes, sanitizers, index.
 
-    ``oram_of`` and ``addr`` are aligned with ``db.records``: record
-    ``i`` lives in ORAM ``oram_of[i]`` (1..m) at address ``addr[i]``,
-    its place within that partition.
+    ``rids``, ``oram_of`` and ``addr`` are aligned with the records as
+    ``setup`` got them: record ``i`` has id ``rids[i]`` and lives in ORAM
+    ``oram_of[i]`` (1..m) at address ``addr[i]``, its place within that
+    partition. No payload is kept; ``attributes`` holds the extra
+    columns that ``register_attribute`` may index.
     """
 
     config: EngineConfig
-    db: Database
+    rids: np.ndarray                         # record position -> record id
+    attributes: dict[str, list[int]]         # the database's extra columns
     orams: list[OramState]
     oram_of: np.ndarray                      # record position -> ORAM id
     addr: np.ndarray                         # record position -> address
@@ -229,12 +231,13 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
 
     store = storage if isinstance(storage, Kvs) else connect(storage, data_dir)
     state = EngineState(
-        config=config, db=db, orams=[],
+        config=config, rids=np.array([r.rid for r in db.records], dtype=np.uint64),
+        attributes=db.attributes, orams=[],
         oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
         n_per=n_per, indexes={}, sanitizers={}, budgets={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
         seed=seed, store=store, opened=None if store is storage else store,
-        _pool=ThreadPoolExecutor(max_workers=m) if m > 1 else None,
+        _pool=ThreadPoolExecutor(max_workers=m),
     )
     block_payload = RECORD_HEADER + config.record_size
     try:
@@ -245,16 +248,17 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
             blocks = ((a, pack_record(r)) for a, r in enumerate(groups[j - 1]))
             state.orams.append(oram_init(cfg, oram_key, CountingKvs(store),
                                          oram_rng, namespace=j - 1, blocks=blocks))
-        _install_attribute(state, "key", config.epsilon)
+        _install_attribute(state, "key", db.column("key"), config.epsilon)
     except BaseException:
         state.close()  # a failed setup keeps no connection, file or thread open
         raise
     return state
 
 
-def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
+def _install_attribute(state: EngineState, attribute: str, column: list[int],
+                       epsilon: float) -> None:
     config = state.config
-    values = np.asarray(state.db.column(attribute))
+    values = np.asarray(column)
     outside = (values < 0) | (values >= config.domain)
     if outside.any():
         raise DataError(f"column {attribute!r} value {values[outside][0]} outside "
@@ -297,7 +301,9 @@ def register_attribute(state: EngineState, attribute: str, epsilon: float) -> No
             if spent > state.config.budget + 1e-12:
                 raise BudgetError(f"budget {state.config.budget} exceeded: "
                                   f"registering {attribute!r} needs {spent:.6f}")
-        _install_attribute(state, attribute, epsilon)
+        if attribute not in state.attributes:
+            raise DataError(f"no column named {attribute!r}")
+        _install_attribute(state, attribute, state.attributes[attribute], epsilon)
 
 
 def spent_budget(state: EngineState) -> float:
@@ -349,12 +355,12 @@ def query(state: EngineState, q: Query) -> QueryResult:
             raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {config.domain})")
 
         m = config.m
-        records = state.db.records
         pos = bptree.lookup(state.indexes[q.attribute], q)  # matching record positions
-        t_pos: list[list[int]] = [[] for _ in range(m)]
+        t_rids: list[list[int]] = [[] for _ in range(m)]
         t_addrs: list[list[int]] = [[] for _ in range(m)]
-        for i, j, a in zip(pos.tolist(), state.oram_of[pos].tolist(), state.addr[pos].tolist()):
-            t_pos[j - 1].append(i)
+        for rid, j, a in zip(state.rids[pos].tolist(), state.oram_of[pos].tolist(),
+                             state.addr[pos].tolist()):
+            t_rids[j - 1].append(rid)
             t_addrs[j - 1].append(a)
         dss = state.sanitizers[q.attribute]
 
@@ -379,17 +385,16 @@ def query(state: EngineState, q: Query) -> QueryResult:
                 return []
             return state.orams[j].batch_access([read_op(a) for a in plans[j]])
 
-        if state._pool is not None:
-            blocks = list(state._pool.map(fetch, range(m)))
-        else:
-            blocks = [fetch(j) for j in range(m)]
+        futures = [state._pool.submit(fetch, j) for j in range(m)]
+        wait(futures)  # a failed batch is raised only once no batch of this query runs
+        blocks = [f.result() for f in futures]
 
         found: list[Record] = []
         for j in range(m):
-            for i, blob in zip(t_pos[j], blocks[j]):  # the first len(t) blocks are the matches
+            for rid, blob in zip(t_rids[j], blocks[j]):  # the first len(t) blocks are the matches
                 got = unpack_record(blob)
-                if got.rid != records[i].rid:
-                    raise DataError(f"store returned record {got.rid} for id {records[i].rid}")
+                if got.rid != rid:
+                    raise DataError(f"store returned record {got.rid} for id {rid}")
                 found.append(got)
         found.sort(key=lambda r: r.rid)
 
@@ -397,9 +402,8 @@ def query(state: EngineState, q: Query) -> QueryResult:
         rt = sum(s.roundtrips - b.roundtrips for b, s in zip(before, after))
         up = sum(s.bytes_up - b.bytes_up for b, s in zip(before, after))
         down = sum(s.bytes_down - b.bytes_down for b, s in zip(before, after))
-        fetched = sum(len(p) for p in plans)
         return QueryResult(
-            records=found, true_count=len(pos), fetched_count=fetched,
+            records=found, true_count=len(pos), fetched_count=sum(map(len, plans)),
             failed=failed, per_oram_requests=[len(p) for p in plans],
-            roundtrips=rt, bytes_up=up, bytes_down=down, oram_accesses=fetched,
+            roundtrips=rt, bytes_up=up, bytes_down=down,
         )

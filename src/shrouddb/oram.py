@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shrouddb.crypto import SymKey
+from shrouddb.data import is_bytes_like
 from shrouddb.errors import (
     AddressError,
     BatchError,
@@ -123,10 +123,10 @@ class OramState:
     ``_stash_rows`` holds that layout's first rows.
     """
 
-    def __init__(self, config: OramConfig, key: SymKey, store: Kvs,
+    def __init__(self, config: OramConfig, key: bytes, store: Kvs,
                  rng: random.Random, namespace: int = 0):
         self.config = config
-        self._cipher = cipher(key.data)  # owned here, dropped with the state
+        self._cipher = cipher(key)  # owned here, dropped with the state
         self.store = store
         self.rng = rng
         self.L = math.ceil(math.log2(max(2, math.ceil(config.capacity / Z))))
@@ -200,7 +200,7 @@ class OramState:
                                mv[at * bs + ADDR_SIZE:(at + 1) * bs].tobytes())
             else:
                 mv[row * bs:row * bs + ADDR_SIZE] = addr.to_bytes(ADDR_SIZE, "big")
-                mv[row * bs + ADDR_SIZE:(row + 1) * bs] = data
+                mv[row * bs + ADDR_SIZE:(row + 1) * bs] = _flat(data)
                 table[addr] = row
                 row += 1
                 results.append(None)
@@ -222,7 +222,7 @@ class OramState:
             raise AddressError(f"address {addr} outside [0, {capacity})")
         if data is None:
             return
-        if not isinstance(data, (bytes, bytearray)):
+        if not is_bytes_like(data):
             raise ParameterError(f"block {addr} is a {type(data).__name__}, not bytes")
         if len(data) != payload:
             raise ParameterError(f"block {addr} is {len(data)} bytes, "
@@ -310,6 +310,12 @@ class OramState:
         return slots, [a for a in table if a in left] if left else []
 
 
+def _flat(data) -> bytes | memoryview:
+    """Bytes-like ``data`` in the unsigned-byte format a slice of a batch
+    buffer takes; a view of signed bytes or chars would not assign."""
+    return data if type(data) is bytes else memoryview(data).cast("B")
+
+
 def _grown(buf: np.ndarray, size: int) -> np.ndarray:
     """``buf``, or a fresh buffer if it holds fewer than ``size`` bytes.
     A fresh one has an eighth to spare, since batch sizes vary a little
@@ -318,7 +324,7 @@ def _grown(buf: np.ndarray, size: int) -> np.ndarray:
     return buf if len(buf) >= size else np.empty(size + size // 8, np.uint8)
 
 
-def oram_init(config: OramConfig, key: SymKey, store: Kvs,
+def oram_init(config: OramConfig, key: bytes, store: Kvs,
               rng: random.Random, namespace: int = 0,
               blocks: Iterable[tuple[int, bytes]] = ()) -> OramState:
     """Build the client and upload a tree that already holds ``blocks``.
@@ -346,7 +352,7 @@ def oram_init(config: OramConfig, key: SymKey, store: Kvs,
         if addr in table:
             raise ParameterError(f"address {addr} given twice")
         table[addr] = row
-        mv[row * bs + ADDR_SIZE:(row + 1) * bs] = data
+        mv[row * bs + ADDR_SIZE:(row + 1) * bs] = _flat(data)
     addrs = np.array(list(table), ">u8").view(np.uint8)
     src[1:1 + len(table), :ADDR_SIZE] = addrs.reshape(-1, ADDR_SIZE)
     try:

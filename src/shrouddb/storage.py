@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from shrouddb import wire
+from shrouddb.data import is_bytes_like
 from shrouddb.errors import (
     BatchError,
     ParameterError,
@@ -58,17 +59,11 @@ def _check_keys(keys: list[bytes], op: str) -> None:
 
 def _check_pairs(pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
     """The keys of a ``batch_put``, once every key and value is valid: a
-    value is a flat buffer of single bytes, never an ``int`` or a ``str``."""
+    value is bytes-like (``data.is_bytes_like``)."""
     keys = [k for k, _ in pairs]
     _check_keys(keys, "batch_put")
     for _, v in pairs:
-        if type(v) is bytes:
-            continue
-        try:
-            view = v if type(v) is memoryview else memoryview(v)
-        except TypeError:
-            view = None
-        if view is None or view.ndim != 1 or view.itemsize != 1 or not view.c_contiguous:
+        if not is_bytes_like(v):
             raise ParameterError(f"values are bytes-like, got {type(v).__name__}")
     return keys
 

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import hashlib
 import math
 
 import pytest
 from scipy import stats
 
-from shrouddb import cli
+from shrouddb import bench, cli
 from shrouddb.bench import (
     METRIC_FIELDS,
     ExperimentSpec,
@@ -21,6 +22,7 @@ from shrouddb.bench import (
     write_queries,
 )
 from shrouddb.data import point_query, range_query
+from shrouddb.engine import EngineConfig
 from shrouddb.errors import DataError, ParameterError
 
 
@@ -42,11 +44,34 @@ def hist_csv(path, rows):
 # -- spec and clock ------------------------------------------------------------
 
 def test_spec_validation():
+    """A setting is checked where the run uses it, not when the spec is built."""
+    with pytest.raises(ParameterError, match="record size must be >= 1"):
+        spec(record_size=0)
     for bad in [dict(n=0), dict(queries=0), dict(distribution="zipf"),
                 dict(query_sampling="head"), dict(query_kind="join"),
                 dict(distribution="histogram")]:
+        s = spec(**bad)
         with pytest.raises(ParameterError):
-            spec(**bad)
+            run_experiment(s, clock=FixedClock())
+
+
+def test_spec_defaults_are_the_engines():
+    engine_defaults = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
+    for name in ("mode", "m", "epsilon", "beta", "fanout"):
+        assert getattr(ExperimentSpec, name) == engine_defaults[name]
+
+
+def test_run_defaults_are_the_specs(monkeypatch):
+    seen = []
+
+    def run_experiment(spec, **kw):
+        seen.append(spec)
+        raise ParameterError("stop")
+
+    monkeypatch.setattr(bench, "run_experiment", run_experiment)
+    assert cli.main(["run"]) == 2
+    assert seen == [ExperimentSpec(n=1000, domain=10000, record_size=1024,
+                                   selectivity=0.005, queries=100)]
 
 
 def test_fixed_clock_one_ms_steps():
@@ -223,7 +248,6 @@ def test_scan_metrics_shape():
     slot = 16 + 32 + 28  # rid+key header, payload, nonce and tag
     for r in rows[:-1]:
         assert int(r["fetched_count"]) == n
-        assert int(r["oram_accesses"]) == 0
         assert int(r["roundtrips"]) == 1
         assert int(r["bytes_down"]) == n * slot
     summary = rows[-1]
@@ -289,5 +313,29 @@ def test_cli_input_errors_exit_2(argv, files, message, tmp_path, capsys):
         paths[name].write_text(text)
     argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out.csv")]
     assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+UNUSED = [["--queries", "0"], ["--n", "0"], ["--distribution", "histogram"]]
+
+
+@pytest.mark.parametrize("setting", UNUSED, ids=["queries-0", "n-0", "histogram-no-file"])
+def test_cli_ignores_settings_the_files_replace(setting, tmp_path, capsys):
+    """With a dataset and a query file, the generators' settings go unused,
+    so a value they would refuse does not stop the run."""
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,key\n0,3\n1,7\n2,3\n")
+    q.write_text("a,b\n3,3\n2,8\n")
+    argv = RUN + setting + ["--dataset", str(d), "--queries-file", str(q), "--fixed-clock"]
+    assert cli.main(argv) == 0
+    assert "queries=2 failed=0 true=5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("setting, message", zip(UNUSED, [
+    "query count must be >= 1", "dataset size must be >= 1",
+    "histogram distribution needs --histogram-file"]), ids=["queries-0", "n-0", "histogram-no-file"])
+def test_cli_refuses_settings_the_run_uses(setting, message, capsys):
+    assert cli.main(RUN + setting) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

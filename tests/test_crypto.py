@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from shrouddb.crypto import SymKey, keygen, partition_of, prf
+from shrouddb.crypto import keygen, partition_of, prf
 from shrouddb.errors import AuthenticationError, ParameterError
 from shrouddb.slots import cipher, fresh_nonces, open_slots, seal_slots, sealed_size
 
@@ -11,8 +11,8 @@ from shrouddb.slots import cipher, fresh_nonces, open_slots, seal_slots, sealed_
 def test_keygen_sizes(rng):
     for bits in (128, 256):
         key = keygen(bits, rng)
-        assert key.bits == bits
-        assert len(key.data) == bits // 8
+        assert type(key) is bytes
+        assert len(key) == bits // 8
 
 
 def test_keygen_rejects_other_sizes(rng):
@@ -29,17 +29,17 @@ def test_keygen_uses_injected_rng():
     assert a != c
 
 
-def test_symkey_validates_length():
-    with pytest.raises(ParameterError):
-        SymKey(b"short", 128)
+def test_cipher_validates_key_length():
+    with pytest.raises(ParameterError, match="bad AES key length 5"):
+        cipher(b"short")
 
 
-def _seal(key: SymKey, msg: bytes) -> bytes:
-    return seal_slots(cipher(key.data), msg, fresh_nonces(1), 1, len(msg))[0]
+def _seal(key: bytes, msg: bytes) -> bytes:
+    return seal_slots(cipher(key), msg, fresh_nonces(1), 1, len(msg))[0]
 
 
-def _open(key: SymKey, sealed: bytes, size: int) -> bytes:
-    return open_slots(cipher(key.data), [sealed], 1, size)
+def _open(key: bytes, sealed: bytes, size: int) -> bytes:
+    return open_slots(cipher(key), [sealed], 1, size)
 
 
 def test_encrypt_decrypt_roundtrip(rng):
@@ -53,7 +53,7 @@ def test_ciphertext_layout(rng):
     key = keygen(256, rng)
     msg = b"hello world"
     nonce = rng.randbytes(12)
-    sealed = seal_slots(cipher(key.data), msg, nonce, 1, len(msg))[0]
+    sealed = seal_slots(cipher(key), msg, nonce, 1, len(msg))[0]
     assert len(sealed) == sealed_size(len(msg)) == 12 + len(msg) + 16
     assert sealed[:12] == nonce
     assert msg not in bytes(sealed)  # a view would only compare single bytes
@@ -67,9 +67,9 @@ def test_ciphertext_from_bytes_too_short(rng):
 
 def test_block_size_cap(rng):
     key = keygen(128, rng)
-    seal_slots(cipher(key.data), b"x" * 64, fresh_nonces(1), 1, 64)
+    seal_slots(cipher(key), b"x" * 64, fresh_nonces(1), 1, 64)
     with pytest.raises(ParameterError):
-        seal_slots(cipher(key.data), b"x" * 65, fresh_nonces(1), 1, 64)
+        seal_slots(cipher(key), b"x" * 65, fresh_nonces(1), 1, 64)
 
 
 def test_tamper_detection(rng):

@@ -1,7 +1,9 @@
 import gc
 import math
 import random
+import re
 import threading
+import time
 import types
 
 import pytest
@@ -11,7 +13,7 @@ from scipy import stats
 
 from shrouddb import slots
 from shrouddb.bptree import lookup
-from shrouddb.crypto import SymKey, keygen, partition_of
+from shrouddb.crypto import keygen, partition_of
 from shrouddb.data import Database, Query, Record, point_query, range_query
 from shrouddb.engine import (
     AES_BITS,
@@ -30,6 +32,7 @@ from shrouddb.errors import (
     ParameterError,
     QueryError,
     StorageClosedError,
+    StorageError,
     StorageNotEmptyError,
 )
 from shrouddb.rng import derive_stream
@@ -110,6 +113,34 @@ def test_setup_validates_records():
         setup(Database([Record(0, 100, bytes(24))]), config(), MemoryKvs(), 1)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Record(3, 2.0, bytes(24)), DataError, "record 3 key 2.0 is not an int"),
+    (lambda: Record(3, 2, "x" * 24), DataError, "record 3 payload is a str, not bytes"),
+    (lambda: Record(3.0, 2, bytes(24)), DataError, "record id 3.0 is not an int"),
+    (lambda: Record(1 << 64, 2, bytes(24)), DataError, "is not an int in [0, 2^64)"),
+    (lambda: Query(1.5, 3), ParameterError, "range bounds 1.5, 3 are not ints"),
+], ids=["float-key", "str-payload", "float-rid", "wide-rid", "float-bound"])
+def test_records_and_queries_refuse_other_types(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+def test_malformed_record_fails_before_anything_is_stored():
+    """A float key is refused when its record is built. Here it is a
+    record of ORAM 2, which would otherwise be found only after ORAM 1's
+    whole tree was uploaded, leaving a store no second setup can use."""
+    db = small_db(n=500)
+    hash_key = keygen(AES_BITS, derive_stream(5, "key:hash"))  # as setup draws it
+    rid = next(r.rid for r in db.records if partition_of(hash_key, r.rid, 2) == 2)
+    kvs = RecordingKvs()
+    with pytest.raises(DataError, match=f"record {rid} key 2.0"):
+        records = [Record(r.rid, 2.0, r.payload) if r.rid == rid else r
+                   for r in db.records]
+        setup(Database(records), config(m=2), kvs, seed=5)
+    assert kvs.take() == {}
+    setup(db, config(m=2), kvs, seed=5).close()  # the store is still empty
+
+
 def test_failed_setup_closes_what_it_opened(tmp_path, monkeypatch):
     from shrouddb import engine
 
@@ -168,7 +199,6 @@ def test_gamma_quotas_equal_across_orams(deployed):
     assert not res.failed
     assert len(set(res.per_oram_requests)) == 1
     assert res.fetched_count == sum(res.per_oram_requests)
-    assert res.oram_accesses == res.fetched_count
 
 
 def test_fetched_exceeds_true_by_sanitizer_margin(deployed):
@@ -566,6 +596,37 @@ def test_concurrent_query_is_refused():
         state.close()
 
 
+def test_failed_query_returns_once_every_batch_is_done():
+    """ORAM 1's read fails while ORAM 2's batch is still running; the query
+    raises only after that batch ends, so no later query can overlap it."""
+    class SplitKvs(MemoryKvs):
+        def __init__(self):
+            super().__init__()
+            self.armed, self.running = False, 0
+            self.started = threading.Event()
+
+        def batch_get(self, keys):
+            if self.armed and keys[0] == bucket_key(0, 0):  # ORAM 1's root
+                assert self.started.wait(30)
+                raise StorageError("ORAM 1 is down")
+            if self.armed and keys[0] == bucket_key(0, 1):  # ORAM 2's root
+                self.running += 1
+                self.started.set()
+                time.sleep(0.3)
+                self.running -= 1
+            return super().batch_get(keys)
+
+    kvs = SplitKvs()
+    state = setup(small_db(), config(m=2), kvs, seed=3)
+    try:
+        kvs.armed = True
+        with pytest.raises(StorageError, match="ORAM 1 is down"):
+            query(state, range_query(0, 99))
+        assert kvs.started.is_set() and kvs.running == 0
+    finally:
+        state.close()
+
+
 def test_server_view_independent_of_contents():
     """Two databases of one size and config, different keys and payloads:
     the server sees identical keys and value sizes during setup, and
@@ -631,28 +692,54 @@ def test_closed_deployments_leave_no_cipher_in_slots():
     assert sum(ciphers(v) for v in vars(slots).values()) == 0
 
 
+def _reachable(root, found) -> int:
+    """How many objects reachable from ``root`` satisfy ``found``."""
+    seen, stack, count = set(), [root], 0
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        count += found(obj)
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
 def test_closed_state_holds_no_key_material():
-    """``close`` drops the ORAMs with their AES-GCM contexts and the
-    partition key: nothing reachable from a closed state is a key."""
-    def keys_reachable(root) -> int:
-        seen, stack, found = set(), [root], 0
-        skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen or isinstance(obj, skip):
-                continue
-            seen.add(id(obj))
-            found += isinstance(obj, (AESGCM, SymKey))
-            stack.extend(gc.get_referents(obj))
-        return found
+    """``close`` drops the ORAMs with their AES-GCM contexts, and setup
+    keeps no key bytes: nothing reachable from a closed state is a key."""
+    keys = {keygen(AES_BITS, derive_stream(4, label))
+            for label in ("key:hash", "key:oram:1", "key:oram:2")}
+
+    def is_key(obj) -> bool:
+        return isinstance(obj, AESGCM) or (type(obj) is bytes and obj in keys)
 
     state = setup(small_db(), config(m=2), MemoryKvs(), seed=4)
-    assert keys_reachable(state) == 2  # two ORAM ciphers; setup kept no partition key
+    assert _reachable(state, is_key) == 2  # two ORAM ciphers; no key bytes
     state.close()
-    assert keys_reachable(state) == 0
+    assert _reachable(state, is_key) == 0
     assert state.orams == []
     with pytest.raises(QueryError, match="closed"):
         query(state, range_query(0, 5))
+
+
+def test_state_keeps_no_record():
+    """The client state keeps record ids and the extra columns, not the
+    caller's records and their payloads; unknown columns stay refused."""
+    records = small_db().records
+    aux = [r.key for r in records]
+    state = setup(Database(records, {"aux": aux}), config(m=2), MemoryKvs(), seed=4)
+    try:
+        assert _reachable(state, lambda obj: isinstance(obj, (Record, Database))) == 0
+        with pytest.raises(DataError, match="no column named 'nope'"):
+            register_attribute(state, "nope", LN2)
+        register_attribute(state, "aux", LN2)
+        res = query(state, range_query(5, 9, attribute="aux"))
+        assert [r.rid for r in res.records] == [r.rid for r, v in zip(records, aux)
+                                                if 5 <= v <= 9]
+    finally:
+        state.close()
 
 
 def test_register_attribute_refuses_a_closed_state():

@@ -1,3 +1,4 @@
+import array
 import math
 import os
 import random
@@ -230,6 +231,16 @@ def test_payload_that_is_not_bytes_is_refused_before_any_change():
         st.batch_access([read_op(5), write_op(6, "abcd")])
     assert kvs.counters.snapshot() == before
     assert st.batch_access([read_op(a) for a in range(64)]) == [values[a] for a in range(64)]
+
+
+@pytest.mark.parametrize("block", [bytearray(b"abcd"), memoryview(b"abcd"),
+                                   array.array("b", b"abcd")],
+                         ids=["bytearray", "memoryview", "signed-bytes"])
+def test_bytes_like_blocks_read_back(block):
+    """A block is bytes-like by the rule every store applies to its values."""
+    st = make(capacity=8, payload=4, blocks=[(0, block)])
+    st.batch_access([write_op(1, block)])
+    assert st.batch_access([read_op(0), read_op(1)]) == [b"abcd", b"abcd"]
 
 
 def test_dict_oracle_workload(rng, leaf_kvs):

@@ -7,7 +7,7 @@ from shrouddb.slots import cipher, fresh_nonces, open_slots, seal_slots, sealed_
 
 
 def _material(rng, count, size, bits=128):
-    return cipher(keygen(bits, rng).data), rng.randbytes(count * size)
+    return cipher(keygen(bits, rng)), rng.randbytes(count * size)
 
 
 @pytest.mark.parametrize("count,size", [(1, 8), (5, 24), (64, 1), (16, 4096)])
@@ -21,7 +21,7 @@ def test_roundtrip(count, size, rng):
 
 def test_message_layout(rng):
     """Each message is nonce || ciphertext || tag of one AES-GCM call."""
-    key = keygen(128, rng).data
+    key = keygen(128, rng)
     plain = rng.randbytes(4 * 32)
     nonces = rng.randbytes(4 * 12)
     sealed = seal_slots(cipher(key), plain, nonces, 4, 32)
