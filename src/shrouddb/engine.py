@@ -30,8 +30,8 @@ one ``setup`` opens from a ``--storage`` spec (one connection for
 ``remote=``). ORAM j keeps its buckets under key namespace ``j - 1``,
 behind its own ``CountingKvs``, and the serialized sanitizers go under
 ``META_NAMESPACE``, one ``batch_put`` per attribute. Each touched ORAM
-costs a query one ``batch_get`` and one ``batch_put``; the pool runs
-the ORAMs' batches side by side, and the store serialises them.
+costs a query one ``batch_get`` and one ``batch_put``. The query's
+thread runs ORAM 1's batch while threads of the query run the rest.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -163,18 +163,15 @@ class EngineState:
     seed: int | None
     store: Kvs
     opened: Kvs | None = None                # the store setup opened, closed with the state
-    _pool: ThreadPoolExecutor | None = None
     _busy: threading.Lock = field(default_factory=threading.Lock)
 
     def close(self) -> None:
-        """Stop the pool, close the store setup opened and drop the keys."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self.opened is not None:
-            self.opened.close()
-            self.opened = None
-        self.orams = []
+        """Wait for any query, close the store setup opened, drop the keys."""
+        with self._busy:
+            if self.opened is not None:
+                self.opened.close()
+                self.opened = None
+            self.orams = []
 
     def __enter__(self) -> "EngineState":
         return self
@@ -237,7 +234,6 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
         n_per=n_per, indexes={}, sanitizers={}, budgets={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
         seed=seed, store=store, opened=None if store is storage else store,
-        _pool=ThreadPoolExecutor(max_workers=m),
     )
     block_payload = RECORD_HEADER + config.record_size
     try:
@@ -385,9 +381,12 @@ def query(state: EngineState, q: Query) -> QueryResult:
                 return []
             return state.orams[j].batch_access([read_op(a) for a in plans[j]])
 
-        futures = [state._pool.submit(fetch, j) for j in range(m)]
-        wait(futures)  # a failed batch is raised only once no batch of this query runs
-        blocks = [f.result() for f in futures]
+        # ORAMs 2..m start first, then this thread runs ORAM 1; leaving the
+        # block waits for every batch, so a failure is raised once none runs
+        with ThreadPoolExecutor(max_workers=m) as pool:
+            futures = [pool.submit(fetch, j) for j in range(1, m)]
+            blocks = [fetch(0)]
+        blocks += [f.result() for f in futures]
 
         found: list[Record] = []
         for j in range(m):

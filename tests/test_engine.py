@@ -37,7 +37,7 @@ from shrouddb.errors import (
 )
 from shrouddb.rng import derive_stream
 from shrouddb.slots import open_slots
-from shrouddb.storage import MemoryKvs, bucket_key
+from shrouddb.storage import INDEX_BITS, MemoryKvs, bucket_key
 
 LN2 = math.log(2)
 
@@ -596,9 +596,101 @@ def test_concurrent_query_is_refused():
         state.close()
 
 
-def test_failed_query_returns_once_every_batch_is_done():
-    """ORAM 1's read fails while ORAM 2's batch is still running; the query
-    raises only after that batch ends, so no later query can overlap it."""
+def test_close_waits_for_a_running_query(monkeypatch):
+    from shrouddb import sanitizer
+
+    entered, release = threading.Event(), threading.Event()
+    real = sanitizer.sanitizer_query
+
+    def held(*args):
+        entered.set()
+        assert release.wait(30)
+        return real(*args)
+
+    db, q = small_db(), range_query(10, 30)
+    state = setup(db, config(m=2), MemoryKvs(), seed=3)
+    monkeypatch.setattr(sanitizer, "sanitizer_query", held)
+    results = []
+    querier = threading.Thread(target=lambda: results.append(query(state, q)))
+    closer = threading.Thread(target=state.close)
+    try:
+        querier.start()
+        assert entered.wait(30)
+        closer.start()
+        closer.join(0.3)
+        assert closer.is_alive()  # held until the query ends
+        release.set()
+        querier.join(30)
+        closer.join(30)
+        assert not querier.is_alive() and not closer.is_alive()
+        assert [r.rid for r in results[0].records] == expected(db, q)
+        with pytest.raises(QueryError, match="the state is closed"):
+            query(state, q)
+    finally:
+        release.set()
+        state.close()
+
+
+class ThreadKvs(MemoryKvs):
+    """Notes, per namespace, each batch as (operation, thread id,
+    thread count)."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: dict[int, list[tuple[str, int, int]]] = {}
+
+    def _note(self, op, key):
+        self.seen.setdefault(int.from_bytes(key, "big") >> INDEX_BITS, []).append(
+            (op, threading.get_ident(), threading.active_count()))
+
+    def batch_get(self, keys):
+        self._note("batch_get", keys[0])
+        return super().batch_get(keys)
+
+    def batch_put(self, pairs):
+        self._note("batch_put", pairs[0][0])
+        super().batch_put(pairs)
+
+
+def test_single_oram_query_runs_on_the_calling_thread():
+    kvs = ThreadKvs()
+    state = setup(small_db(), config(mode="single", m=1), kvs, seed=3)
+    try:
+        kvs.seen.clear()
+        before = threading.active_count()
+        query(state, range_query(10, 30))
+        assert kvs.seen == {0: [("batch_get", threading.get_ident(), before),
+                                ("batch_put", threading.get_ident(), before)]}
+        assert threading.active_count() == before
+    finally:
+        state.close()
+
+
+def test_oram_1_runs_on_the_calling_thread_and_oram_2_beside_it():
+    db, kvs = small_db(), ThreadKvs()
+    state = setup(db, config(m=2), kvs, seed=3)
+    try:
+        kvs.seen.clear()
+        before = threading.active_count()
+        query(state, range_query(10, 30))
+        assert threading.active_count() == before
+    finally:
+        state.close()
+    me = threading.get_ident()
+    assert [(op, t) for op, t, _ in kvs.seen[0]] == [("batch_get", me), ("batch_put", me)]
+    (other,) = {t for _, t, _ in kvs.seen[1]}
+    assert other != me and [op for op, _, _ in kvs.seen[1]] == ["batch_get", "batch_put"]
+    assert {n for _, _, n in kvs.seen[0] + kvs.seen[1]} == {before + 1}
+    with pytest.raises(StorageNotEmptyError):  # the first tree is still there
+        setup(db, config(m=2), kvs, seed=3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["oram-1-fails", "oram-2-fails"])
+def test_failed_query_returns_once_every_batch_is_done(failing):
+    """One ORAM's read fails while the other's batch is still running; the
+    query raises only after that batch ends, so no later query can overlap
+    it. ORAM 1's batch runs on the calling thread, ORAM 2's beside it."""
     class SplitKvs(MemoryKvs):
         def __init__(self):
             super().__init__()
@@ -606,10 +698,10 @@ def test_failed_query_returns_once_every_batch_is_done():
             self.started = threading.Event()
 
         def batch_get(self, keys):
-            if self.armed and keys[0] == bucket_key(0, 0):  # ORAM 1's root
+            if self.armed and keys[0] == bucket_key(0, failing - 1):  # the failing root
                 assert self.started.wait(30)
-                raise StorageError("ORAM 1 is down")
-            if self.armed and keys[0] == bucket_key(0, 1):  # ORAM 2's root
+                raise StorageError(f"ORAM {failing} is down")
+            if self.armed and keys[0] == bucket_key(0, 2 - failing):  # the other root
                 self.running += 1
                 self.started.set()
                 time.sleep(0.3)
@@ -620,7 +712,7 @@ def test_failed_query_returns_once_every_batch_is_done():
     state = setup(small_db(), config(m=2), kvs, seed=3)
     try:
         kvs.armed = True
-        with pytest.raises(StorageError, match="ORAM 1 is down"):
+        with pytest.raises(StorageError, match=f"ORAM {failing} is down"):
             query(state, range_query(0, 99))
         assert kvs.started.is_set() and kvs.running == 0
     finally:
