@@ -16,7 +16,7 @@ import dataclasses
 import sys
 import time
 
-from shrouddb import bench
+from shrouddb import bench, engine
 from shrouddb.errors import ShroudError
 
 
@@ -26,7 +26,7 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.set_defaults(handler=_cmd_run, **{
         f.name: f.default for f in dataclasses.fields(bench.ExperimentSpec)
         if f.default is not dataclasses.MISSING})
-    p.add_argument("--mode", choices=["single", "gamma", "no-gamma", "linear-scan"])
+    p.add_argument("--mode", choices=[*engine.MODES, "linear-scan"])
     p.add_argument("--n", type=int, default=1000, help="records to synthesize")
     p.add_argument("--domain", type=int, default=10000, help="search key domain size")
     p.add_argument("--record-size", type=int, default=1024, help="payload bytes")

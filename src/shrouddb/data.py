@@ -48,8 +48,10 @@ class Record:
 class Database:
     """A list of records plus optional extra searchable columns.
 
-    ``attributes`` maps a column name to per-record integer keys,
-    aligned with ``records``; the primary column is ``Record.key``.
+    ``attributes`` maps a column name to one integer per record, aligned
+    with ``records``; the primary column is ``Record.key``. ``setup``
+    checks every column, and takes its own copy, before it stores
+    anything.
     """
 
     records: list[Record]
@@ -61,21 +63,9 @@ class Database:
             raise DataError("record ids must be unique")
         if "key" in self.attributes:
             raise DataError("column name 'key' is reserved for Record.key")
-        for name, column in self.attributes.items():
-            if len(column) != len(self.records):
-                raise DataError(f"column {name!r} has {len(column)} values "
-                                f"for {len(self.records)} records")
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def column(self, attribute: str) -> list[int]:
-        if attribute == "key":
-            return [r.key for r in self.records]
-        try:
-            return self.attributes[attribute]
-        except KeyError:
-            raise DataError(f"no column named {attribute!r}") from None
 
 
 @dataclass(frozen=True)

@@ -142,23 +142,23 @@ class QueryResult:
 class EngineState:
     """Client-side state: keys, maps, stashes, sanitizers, index.
 
-    ``rids``, ``oram_of`` and ``addr`` are aligned with the records as
-    ``setup`` got them: record ``i`` has id ``rids[i]`` and lives in ORAM
-    ``oram_of[i]`` (1..m) at address ``addr[i]``, its place within that
-    partition. No payload is kept; ``attributes`` holds the extra
-    columns that ``register_attribute`` may index.
+    ``rids``, ``oram_of``, ``addr`` and each of ``columns`` are aligned
+    with the records as ``setup`` got them: record ``i`` has id
+    ``rids[i]`` and lives in ORAM ``oram_of[i]`` (1..m) at address
+    ``addr[i]``, its place within that partition. No payload is kept.
+    ``columns`` holds setup's checked int64 copy of each column not yet
+    indexed; registering a column moves it into ``indexed``.
     """
 
     config: EngineConfig
     rids: np.ndarray                         # record position -> record id
-    attributes: dict[str, list[int]]         # the database's extra columns
+    columns: dict[str, np.ndarray]           # column -> its value per record
     orams: list[OramState]
     oram_of: np.ndarray                      # record position -> ORAM id
     addr: np.ndarray                         # record position -> address
     n_per: list[int]                         # records per ORAM
-    indexes: dict[str, bptree.SortedIndex]
-    sanitizers: dict[str, list]              # attr -> [shared] or [per-ORAM...]
-    budgets: dict[str, float]
+    # column -> (index, [shared] or [per-ORAM...] sanitizers, epsilon)
+    indexed: dict[str, tuple[bptree.SortedIndex, list, float]]
     noise_rngs: list[random.Random]
     seed: int | None
     store: Kvs
@@ -184,7 +184,7 @@ class EngineState:
 
     def sanitizer_bytes(self) -> int:
         return sum(len(sanitizer.serialize(ds))
-                   for group in self.sanitizers.values() for ds in group)
+                   for _, group, _ in self.indexed.values() for ds in group)
 
 
 def _pad_domain(domain: int, k: int) -> int:
@@ -206,32 +206,41 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     holding its records, and written once.
 
     Keys and all randomness derive from ``seed``, so a seeded setup
-    replays exactly; with ``seed=None`` they come from OS entropy."""
+    replays exactly; with ``seed=None`` they come from OS entropy.
+
+    Every column, the records' keys and each of ``db.attributes``, must
+    hold one integer in ``[0, domain)`` per record; otherwise nothing is
+    stored and a ``DataError`` names the column."""
+    m, n = config.m, len(db.records)
+    hash_key = keygen(AES_BITS, _stream(seed, "key:hash"))
+    groups: list[list[Record]] = [[] for _ in range(m)]
+    rids, keys, oram_of, addr = [], [], [], []
     for r in db.records:
         if len(r.payload) != config.record_size:
             raise DataError(f"record {r.rid} payload is {len(r.payload)} bytes, "
                             f"expected {config.record_size}")
-        if not 0 <= r.key < config.domain:
-            raise DataError(f"record {r.rid} key {r.key} outside [0, {config.domain})")
-
-    m = config.m
-    hash_key = keygen(AES_BITS, _stream(seed, "key:hash"))
-    groups: list[list[Record]] = [[] for _ in range(m)]
-    oram_of: list[int] = []
-    addr: list[int] = []
-    for r in db.records:
         j = partition_of(hash_key, r.rid, m)
+        rids.append(r.rid)
+        keys.append(r.key)
         oram_of.append(j)
         addr.append(len(groups[j - 1]))  # a record's address is its place in its partition
         groups[j - 1].append(r)
     n_per = [len(g) for g in groups]
 
+    columns = {}
+    for name, column in {**db.attributes, "key": keys}.items():  # the records' keys win
+        values = np.asarray(column)
+        # the kind test comes first, so no comparison meets a str or an object
+        if values.shape != (n,) or n and (values.dtype.kind not in "iu" or
+                                          ((values < 0) | (values >= config.domain)).any()):
+            raise DataError(f"column {name!r} must hold {n} integers in [0, {config.domain})")
+        columns[name] = values.astype(np.int64)  # a copy, never the caller's column
+
     store = storage if isinstance(storage, Kvs) else connect(storage, data_dir)
     state = EngineState(
-        config=config, rids=np.array([r.rid for r in db.records], dtype=np.uint64),
-        attributes=db.attributes, orams=[],
+        config=config, rids=np.array(rids, dtype=np.uint64), columns=columns, orams=[],
         oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
-        n_per=n_per, indexes={}, sanitizers={}, budgets={},
+        n_per=n_per, indexed={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
         seed=seed, store=store, opened=None if store is storage else store,
     )
@@ -244,21 +253,16 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
             blocks = ((a, pack_record(r)) for a, r in enumerate(groups[j - 1]))
             state.orams.append(oram_init(cfg, oram_key, CountingKvs(store),
                                          oram_rng, namespace=j - 1, blocks=blocks))
-        _install_attribute(state, "key", db.column("key"), config.epsilon)
+        _install_attribute(state, "key", config.epsilon)
     except BaseException:
         state.close()  # a failed setup keeps no connection, file or thread open
         raise
     return state
 
 
-def _install_attribute(state: EngineState, attribute: str, column: list[int],
-                       epsilon: float) -> None:
+def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
     config = state.config
-    values = np.asarray(column)
-    outside = (values < 0) | (values >= config.domain)
-    if outside.any():
-        raise DataError(f"column {attribute!r} value {values[outside][0]} outside "
-                        f"[0, {config.domain})")
+    values = state.columns[attribute]
     index = bptree.create_index(values)
 
     k = config.fanout
@@ -272,12 +276,11 @@ def _install_attribute(state: EngineState, attribute: str, column: list[int],
         rng = _stream(state.seed, f"sanitizer:{attribute}:0")
         group = [sanitizer.build_range_sanitizer(
             values, N, k, epsilon, config.beta, rng)]
-    slot = sum(map(len, state.sanitizers.values()))  # the sanitizers already stored
+    slot = sum(len(g) for _, g, _ in state.indexed.values())  # the sanitizers already stored
     state.store.batch_put([(bucket_key(slot + i, META_NAMESPACE), sanitizer.serialize(ds))
                            for i, ds in enumerate(group)])
-    state.indexes[attribute] = index
-    state.sanitizers[attribute] = group
-    state.budgets[attribute] = epsilon
+    state.indexed[attribute] = (index, group, epsilon)
+    del state.columns[attribute]
 
 
 def register_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
@@ -289,22 +292,22 @@ def register_attribute(state: EngineState, attribute: str, epsilon: float) -> No
     """
     sanitizer.check_privacy(epsilon)
     with _exclusive(state):
-        if attribute in state.indexes:
+        if attribute in state.indexed:
             raise ParameterError(f"attribute {attribute!r} already registered")
         if state.config.budget is not None:
-            spent = sanitizer.compose(list(state.budgets.values()) + [epsilon],
+            spent = sanitizer.compose([e for *_, e in state.indexed.values()] + [epsilon],
                                       disjoint=False)
             if spent > state.config.budget + 1e-12:
                 raise BudgetError(f"budget {state.config.budget} exceeded: "
                                   f"registering {attribute!r} needs {spent:.6f}")
-        if attribute not in state.attributes:
+        if attribute not in state.columns:
             raise DataError(f"no column named {attribute!r}")
-        _install_attribute(state, attribute, state.attributes[attribute], epsilon)
+        _install_attribute(state, attribute, epsilon)
 
 
 def spent_budget(state: EngineState) -> float:
     """Total privacy budget across registered attributes."""
-    return sanitizer.compose(list(state.budgets.values()), disjoint=False)
+    return sanitizer.compose([e for *_, e in state.indexed.values()], disjoint=False)
 
 
 def _noise_addresses(n_j: int, taken: set[int], need: int,
@@ -345,20 +348,20 @@ def query(state: EngineState, q: Query) -> QueryResult:
     """
     with _exclusive(state):
         config = state.config
-        if q.attribute not in state.indexes:
+        if q.attribute not in state.indexed:
             raise QueryError(f"attribute {q.attribute!r} is not indexed")
         if not 0 <= q.a <= q.b < config.domain:
             raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {config.domain})")
 
         m = config.m
-        pos = bptree.lookup(state.indexes[q.attribute], q)  # matching record positions
+        index, dss, _ = state.indexed[q.attribute]
+        pos = bptree.lookup(index, q)  # matching record positions
         t_rids: list[list[int]] = [[] for _ in range(m)]
         t_addrs: list[list[int]] = [[] for _ in range(m)]
         for rid, j, a in zip(state.rids[pos].tolist(), state.oram_of[pos].tolist(),
                              state.addr[pos].tolist()):
             t_rids[j - 1].append(rid)
             t_addrs[j - 1].append(a)
-        dss = state.sanitizers[q.attribute]
 
         if config.mode == "no-gamma":
             quotas = [sanitizer.sanitizer_query(ds, q.a, q.b) for ds in dss]

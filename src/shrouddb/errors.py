@@ -21,11 +21,7 @@ class BudgetError(ShroudError):
     """Registering an attribute would exceed the total privacy budget."""
 
 
-class CryptoError(ShroudError):
-    """Base class for encryption/decryption failures."""
-
-
-class AuthenticationError(CryptoError):
+class AuthenticationError(ShroudError):
     """Ciphertext failed tag verification (wrong key or corruption)."""
 
 

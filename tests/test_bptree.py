@@ -63,10 +63,11 @@ def test_empty_range_rejected():
 def test_create_index_on_extra_column():
     col = [i * 3 % 31 for i in range(100)]
     db = Database([Record(i, 0, b"") for i in range(100)], {"aux": col})
-    index = create_index(db.column("aux"))
+    index = create_index(db.attributes["aux"])
     got = lookup(index, point_query(6, attribute="aux")).tolist()
     assert got == [i for i in range(100) if col[i] == 6]
-    assert lookup(create_index(db.column("key")), point_query(0)).tolist() == list(range(100))
+    keys = [r.key for r in db.records]
+    assert lookup(create_index(keys), point_query(0)).tolist() == list(range(100))
 
 
 def test_column_named_key_rejected():

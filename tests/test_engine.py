@@ -64,7 +64,7 @@ def deployed():
 
 
 def expected(db, q: Query):
-    col = db.column(q.attribute)
+    col = [r.key for r in db.records] if q.attribute == "key" else db.attributes[q.attribute]
     return sorted(r.rid for r, v in zip(db.records, col) if q.a <= v <= q.b)
 
 
@@ -292,7 +292,8 @@ def test_underestimate_marks_failed_but_answers():
             def query(self, a, b):
                 return 0
 
-        state.sanitizers["key"] = [ZeroDs()]
+        index, _, epsilon = state.indexed["key"]
+        state.indexed["key"] = (index, [ZeroDs()], epsilon)
         q = range_query(10, 40)
         res = query(state, q)
         assert res.failed
@@ -311,7 +312,8 @@ def test_zero_count_zero_reads():
             def query(self, a, b):
                 return 0
 
-        state.sanitizers["key"] = [ZeroDs()]
+        index, _, epsilon = state.indexed["key"]
+        state.indexed["key"] = (index, [ZeroDs()], epsilon)
         # keys are in [0,100); query far above any match is impossible here,
         # so pick a value with no records
         missing = next(v for v in range(100)
@@ -350,7 +352,7 @@ def test_noise_reads_are_valid_distinct_non_matching():
             plans.clear()
             res = query(state, q)
             assert [r.rid for r in res.records] == expected(db, q)
-            pos = lookup(state.indexes["key"], q).tolist()
+            pos = lookup(state.indexed["key"][0], q).tolist()
             for j, n_j in enumerate(state.n_per):
                 plan = plans.get(j, [])
                 assert len(plan) == res.per_oram_requests[j]
@@ -422,6 +424,58 @@ def test_multi_attribute_queries():
         state.close()
 
 
+def test_a_column_replaced_after_setup_is_not_indexed():
+    """``register_attribute`` indexes the column as ``setup`` got it,
+    not whatever the caller's dict holds by then."""
+    r = random.Random(3)
+    n = 200
+    db = Database([Record(i, r.randrange(100), bytes(16)) for i in range(n)],
+                  {"aux": [r.randrange(50) for _ in range(n)]})
+    state = setup(db, config(record_size=16, m=2), MemoryKvs(), seed=5)
+    try:
+        db.attributes["aux"] = [0] * 150
+        register_attribute(state, "aux", 0.5)
+        res = query(state, range_query(0, 99, attribute="aux"))
+        assert [r_.rid for r_ in res.records] == list(range(n))
+    finally:
+        state.close()
+
+
+@pytest.mark.parametrize("column", [
+    ["x"] * 50, [1.5] * 50, [100] + [0] * 49, [0] * 49,
+], ids=["strings", "floats", "outside-domain", "wrong-length"])
+def test_setup_refuses_a_malformed_column(column):
+    db = small_db(n=50)
+    db.attributes["aux"] = column  # after the Database is built
+    kvs = RecordingKvs()
+    with pytest.raises(DataError, match=re.escape("column 'aux' must hold 50 integers "
+                                                  "in [0, 100)")):
+        setup(db, config(m=2), kvs, seed=5)
+    assert kvs.take() == {}
+
+
+def test_records_keys_win_over_a_key_column():
+    db = small_db(n=50)
+    db.attributes["key"] = ["x"] * 7  # after the Database is built
+    state = setup(db, config(m=2), MemoryKvs(), seed=5)
+    try:
+        q = range_query(10, 60)
+        assert [r.rid for r in query(state, q).records] == expected(db, q)
+    finally:
+        state.close()
+
+
+def test_empty_database_sets_up_and_queries():
+    state = setup(Database([], {"aux": []}), config(m=2), MemoryKvs(), seed=5)
+    try:
+        register_attribute(state, "aux", LN2)
+        for q in (range_query(0, 99), range_query(0, 99, attribute="aux")):
+            res = query(state, q)
+            assert res.records == [] and not res.failed
+    finally:
+        state.close()
+
+
 def test_budget_enforced():
     db = small_db(n=50)
     state = setup(db, config(m=1, epsilon=0.6, budget=1.0), MemoryKvs(), seed=5)
@@ -443,7 +497,7 @@ def test_register_attribute_refuses_bad_epsilon(epsilon):
         with pytest.raises(ParameterError, match="epsilon must be positive"):
             register_attribute(state, "aux", epsilon)
         assert store.log == log  # nothing was uploaded
-        assert "aux" not in state.budgets
+        assert "aux" not in state.indexed
     finally:
         state.close()
 
@@ -474,7 +528,7 @@ def test_no_gamma_uses_per_oram_sanitizers():
     db = small_db()
     state = setup(db, config(mode="no-gamma", m=3), MemoryKvs(), seed=8)
     try:
-        assert len(state.sanitizers["key"]) == 3
+        assert len(state.indexed["key"][1]) == 3
         res = query(state, range_query(10, 30))
         assert [r.rid for r in res.records] == expected(db, range_query(10, 30))
     finally:
@@ -485,7 +539,7 @@ def test_shared_sanitizer_in_gamma_mode():
     db = small_db()
     state = setup(db, config(mode="gamma", m=3), MemoryKvs(), seed=8)
     try:
-        assert len(state.sanitizers["key"]) == 1
+        assert len(state.indexed["key"][1]) == 1
     finally:
         state.close()
 
@@ -501,7 +555,7 @@ def test_sanitizers_persisted_to_meta_namespace():
         blobs = kvs.batch_get([bucket_key(slot, META_NAMESPACE) for slot in range(2)])
         for slot, blob in enumerate(blobs):
             ds = deserialize(blob)
-            live = state.sanitizers["key"][slot]
+            live = state.indexed["key"][1][slot]
             assert ds.counts == live.counts
     finally:
         state.close()
@@ -583,7 +637,7 @@ def test_concurrent_query_is_refused():
             query(state, q)
         with pytest.raises(QueryError, match="another query"):
             register_attribute(state, "aux", LN2)
-        assert "aux" not in state.indexes
+        assert "aux" not in state.indexed
         kvs.release.set()
         worker.join(30)
         assert not worker.is_alive()
@@ -753,7 +807,7 @@ def test_index_agrees_with_partition():
     db = small_db()
     state = setup(db, config(m=3), MemoryKvs(), seed=2)
     try:
-        pos = lookup(state.indexes["key"], range_query(0, state.config.domain - 1))
+        pos = lookup(state.indexed["key"][0], range_query(0, state.config.domain - 1))
         assert sorted(pos.tolist()) == list(range(len(db)))
         hash_key = keygen(AES_BITS, derive_stream(2, "key:hash"))  # as setup draws it
         placed = [0, 0, 0]  # records seen so far per ORAM
@@ -817,16 +871,20 @@ def test_closed_state_holds_no_key_material():
 
 
 def test_state_keeps_no_record():
-    """The client state keeps record ids and the extra columns, not the
-    caller's records and their payloads; unknown columns stay refused."""
+    """The client state keeps record ids and its own copy of the extra
+    columns, not the caller's records, their payloads or the caller's
+    columns; unknown columns stay refused."""
     records = small_db().records
     aux = [r.key for r in records]
-    state = setup(Database(records, {"aux": aux}), config(m=2), MemoryKvs(), seed=4)
+    db = Database(records, {"aux": aux})
+    state = setup(db, config(m=2), MemoryKvs(), seed=4)
     try:
         assert _reachable(state, lambda obj: isinstance(obj, (Record, Database))) == 0
+        assert _reachable(state, lambda obj: obj is db.attributes or obj is aux) == 0
         with pytest.raises(DataError, match="no column named 'nope'"):
             register_attribute(state, "nope", LN2)
         register_attribute(state, "aux", LN2)
+        assert state.columns == {}  # an indexed column is dropped
         res = query(state, range_query(5, 9, attribute="aux"))
         assert [r.rid for r in res.records] == [r.rid for r, v in zip(records, aux)
                                                 if 5 <= v <= 9]
@@ -842,5 +900,5 @@ def test_register_attribute_refuses_a_closed_state():
     state.close()
     with pytest.raises(QueryError, match="the state is closed"):
         register_attribute(state, "aux", LN2)
-    assert "aux" not in state.indexes
+    assert "aux" not in state.indexed
     assert kvs.take() == {}  # nothing reached the store
