@@ -28,10 +28,11 @@ makes the whole deployment replay exactly.
 Storage: a deployment runs on one store, the caller's ``Kvs`` or the
 one ``setup`` opens from a ``--storage`` spec (one connection for
 ``remote=``). ORAM j keeps its buckets under key namespace ``j - 1``,
-behind its own ``CountingKvs``, and the serialized sanitizers go under
-``META_NAMESPACE``, one ``batch_put`` per attribute. Each touched ORAM
-costs a query one ``batch_get`` and one ``batch_put``. The query's
-thread runs ORAM 1's batch while threads of the query run the rest.
+behind its own ``CountingKvs``. Each touched ORAM costs a query one
+``batch_get`` and one ``batch_put``. The query's thread runs ORAM 1's
+batch while threads of the query run the rest. The sanitizers never
+leave the client: the server learns their noisy counts only through
+how many records each query fetches.
 """
 
 from __future__ import annotations
@@ -56,13 +57,7 @@ from shrouddb.errors import (
 )
 from shrouddb.oram import OramConfig, OramState, oram_init, read_op
 from shrouddb.rng import derive_stream, system_rng
-from shrouddb.storage import (
-    META_NAMESPACE,
-    CountingKvs,
-    Kvs,
-    bucket_key,
-    connect,
-)
+from shrouddb.storage import META_NAMESPACE, CountingKvs, Kvs, connect
 
 __all__ = [
     "EngineConfig",
@@ -161,7 +156,6 @@ class EngineState:
     indexed: dict[str, tuple[bptree.SortedIndex, list, float]]
     noise_rngs: list[random.Random]
     seed: int | None
-    store: Kvs
     opened: Kvs | None = None                # the store setup opened, closed with the state
     _busy: threading.Lock = field(default_factory=threading.Lock)
 
@@ -183,8 +177,8 @@ class EngineState:
         return sum(st.n_buckets * st.bucket_bytes for st in self.orams)
 
     def sanitizer_bytes(self) -> int:
-        return sum(len(sanitizer.serialize(ds))
-                   for _, group, _ in self.indexed.values() for ds in group)
+        """The sanitizers' size on the client, 8 bytes per counter."""
+        return sum(8 * len(ds.counts) for _, group, _ in self.indexed.values() for ds in group)
 
 
 def _pad_domain(domain: int, k: int) -> int:
@@ -242,7 +236,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
         oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
         n_per=n_per, indexed={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
-        seed=seed, store=store, opened=None if store is storage else store,
+        seed=seed, opened=None if store is storage else store,
     )
     block_payload = RECORD_HEADER + config.record_size
     try:
@@ -276,15 +270,13 @@ def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> No
         rng = _stream(state.seed, f"sanitizer:{attribute}:0")
         group = [sanitizer.build_range_sanitizer(
             values, N, k, epsilon, config.beta, rng)]
-    slot = sum(len(g) for _, g, _ in state.indexed.values())  # the sanitizers already stored
-    state.store.batch_put([(bucket_key(slot + i, META_NAMESPACE), sanitizer.serialize(ds))
-                           for i, ds in enumerate(group)])
     state.indexed[attribute] = (index, group, epsilon)
     del state.columns[attribute]
 
 
 def register_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
-    """Index and sanitize one more column, charging its budget.
+    """Index and sanitize one more column, charging its budget; the
+    server sees nothing of it.
 
     Columns live over the same records, so budgets add up; the total
     must stay within ``config.budget`` when one is set. Like ``query``,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +38,7 @@ __all__ = [
     "canonical_cover",
     "sanitizer_query",
     "compose",
-    "serialize",
-    "deserialize",
 ]
-
-MAGIC = b"SDS1"
-KIND_POINT = 1
-KIND_TREE = 2
 
 
 def laplace_sample(mean: float, scale: float, rng: random.Random) -> float:
@@ -154,8 +147,6 @@ def _noisy_counts(true: np.ndarray, alpha: int, scale: float,
 class PointHistogram:
     """Noisy per-value counts; answers point lookups only."""
 
-    kind = KIND_POINT
-
     def __init__(self, params: SanitizerParams, bins: list[int], clamped: int = 0):
         self.params = params
         self.bins = bins
@@ -172,8 +163,6 @@ class PointHistogram:
 class AggregateTree:
     """Noisy k-ary interval tree; ``counts`` is the breadth-first layout,
     root first, then each level left to right, leaves last."""
-
-    kind = KIND_TREE
 
     def __init__(self, params: SanitizerParams, counts: list[int], clamped: int = 0):
         self.params = params
@@ -265,35 +254,3 @@ def compose(budgets: list[float], disjoint: bool) -> float:
     for e in budgets:
         check_privacy(e)
     return max(budgets) if disjoint else math.fsum(budgets)
-
-
-def serialize(ds: PointHistogram | AggregateTree) -> bytes:
-    """Header (kind, k, N, alpha, epsilon, count) then flat u64-LE counts
-    in breadth-first order (bin order for the point histogram)."""
-    counts = ds.bins if ds.kind == KIND_POINT else ds.counts
-    p = ds.params
-    head = MAGIC + struct.pack("<BIQId Q", ds.kind, p.k, p.N, p.alpha, p.epsilon,
-                               len(counts))
-    return head + struct.pack(f"<{len(counts)}Q", *counts)
-
-
-def deserialize(data: bytes) -> PointHistogram | AggregateTree:
-    """The sanitizer ``serialize`` wrote, with the params it stored."""
-    head = struct.calcsize("<BIQId Q")
-    if len(data) < 4 + head or data[:4] != MAGIC:
-        raise DataError("not a serialized sanitizer")
-    kind, k, N, alpha, epsilon, count = struct.unpack_from("<BIQId Q", data, 4)
-    body = data[4 + head:]
-    if len(body) != 8 * count:
-        raise DataError(f"expected {8 * count} count bytes, found {len(body)}")
-    counts = list(struct.unpack(f"<{count}Q", body))
-    params = SanitizerParams(N, k, alpha, epsilon)
-    if kind == KIND_POINT:
-        if count != N:
-            raise DataError("bin count does not match domain size")
-        return PointHistogram(params, counts)
-    if kind == KIND_TREE:
-        if count != tree_nodes_count(N, k):
-            raise DataError("node count does not match tree shape")
-        return AggregateTree(params, counts)
-    raise DataError(f"unknown sanitizer kind {kind}")

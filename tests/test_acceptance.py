@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from shrouddb.audit import (
+from audit import (
     audit_alpha_point_minimality,
     audit_alpha_range_minimality,
     audit_obliviousness,

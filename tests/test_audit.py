@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from shrouddb.audit import (
+from audit import (
     AuditReport,
     audit_alpha_point_minimality,
     audit_alpha_range_minimality,

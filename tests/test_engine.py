@@ -99,8 +99,8 @@ def test_config_validation():
                 {"budget": math.nan}]:
         with pytest.raises(ParameterError):
             config(**bad)
-    # ORAM j stores under namespace j - 1, so ORAM 4096 would share the
-    # sanitizers' META_NAMESPACE (4095); only the configs are built here
+    # ORAM j stores under namespace j - 1, so ORAM 4096 would take the
+    # reserved META_NAMESPACE (4095); only the configs are built here
     assert config(m=4095).m == 4095
     with pytest.raises(ParameterError, match="partition count"):
         config(m=4096)
@@ -544,23 +544,6 @@ def test_shared_sanitizer_in_gamma_mode():
         state.close()
 
 
-def test_sanitizers_persisted_to_meta_namespace():
-    from shrouddb.sanitizer import deserialize, sanitizer_query
-
-    db = small_db()
-    kvs = MemoryKvs()
-    state = setup(db, config(mode="no-gamma", m=2), kvs, seed=4)
-    try:
-        from shrouddb.storage import META_NAMESPACE, bucket_key
-        blobs = kvs.batch_get([bucket_key(slot, META_NAMESPACE) for slot in range(2)])
-        for slot, blob in enumerate(blobs):
-            ds = deserialize(blob)
-            live = state.indexed["key"][1][slot]
-            assert ds.counts == live.counts
-    finally:
-        state.close()
-
-
 def test_bucket_values_have_fixed_size():
     rec = 24
     kvs = RecordingKvs()
@@ -571,40 +554,33 @@ def test_bucket_values_have_fixed_size():
         log = kvs.take()
         want = 28 + 5 * (8 + 16 + rec)  # Z = 5 slots of address, rid, key, payload
         assert want == state.orams[0].bucket_bytes
-        for ns in (0, 1):  # the two ORAMs; the meta namespace holds sanitizers
+        for ns in (0, 1):  # the two ORAMs
             sizes = {size for _, pairs in log[ns] for _, size in pairs if size is not None}
             assert sizes == {want}
     finally:
         state.close()
 
 
-def test_setup_server_view_is_one_probe_and_one_put_per_attribute():
-    from shrouddb.storage import META_NAMESPACE, bucket_key
-
+def test_setup_server_view_is_one_probe_and_one_put_per_oram():
     records = small_db().records
     db = Database(records, {"aux": [r.key // 2 for r in records]})
-    kvs = RecordingKvs()
-    state = setup(db, config(mode="no-gamma", m=2), kvs, seed=6)
-    try:
-        log = kvs.take()
-        for ns in (0, 1):
-            # a one-key read of the root that must miss, then the whole tree,
-            # records already placed, in one upload; nothing else
-            st = state.orams[ns]
-            assert len(log[ns]) == 2
-            assert log[ns][0] == ("batch_get", ((bucket_key(0, ns), None),))
-            op, pairs = log[ns][1]
-            assert op == "batch_put"
-            assert [k for k, _ in pairs] == [bucket_key(i, ns) for i in range(st.n_buckets)]
-            assert {size for _, size in pairs} == {st.bucket_bytes}
-        meta = log[META_NAMESPACE]
-        assert [(op, [k for k, _ in pairs]) for op, pairs in meta] == \
-            [("batch_put", [bucket_key(0, META_NAMESPACE), bucket_key(1, META_NAMESPACE)])]
-        register_attribute(state, "aux", LN2)
-        assert [(op, [k for k, _ in pairs]) for op, pairs in kvs.take()[META_NAMESPACE]] == \
-            [("batch_put", [bucket_key(2, META_NAMESPACE), bucket_key(3, META_NAMESPACE)])]
-    finally:
-        state.close()
+    for mode, m in [("single", 1), ("gamma", 2), ("no-gamma", 2)]:
+        kvs = RecordingKvs()
+        with setup(db, config(mode=mode, m=m), kvs, seed=6) as state:
+            log = kvs.take()
+            assert sorted(log) == list(range(m))  # no sanitizer reaches the server
+            for ns in range(m):
+                # a one-key read of the root that must miss, then the whole tree,
+                # records already placed, in one upload; nothing else
+                st = state.orams[ns]
+                assert len(log[ns]) == 2
+                assert log[ns][0] == ("batch_get", ((bucket_key(0, ns), None),))
+                op, pairs = log[ns][1]
+                assert op == "batch_put"
+                assert [k for k, _ in pairs] == [bucket_key(i, ns) for i in range(st.n_buckets)]
+                assert {size for _, size in pairs} == {st.bucket_bytes}
+            register_attribute(state, "aux", LN2)
+            assert kvs.take() == {}
 
 
 def test_concurrent_query_is_refused():

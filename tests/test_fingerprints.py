@@ -38,13 +38,13 @@ ENGINE = {
 # "tree<j>" the placement in the ORAM stored under namespace j
 GOLDEN = {
     "gamma-3": {"ns0": "2ef97d3e17936341", "ns1": "75294ee0961c4bca", "ns2": "23d6e8fafb4c134e",
-                "ns4095": "6290e9a4654a7c76", "tree0": "4483d3060c7229a0",
+                "tree0": "4483d3060c7229a0",
                 "tree1": "ace366d08fcae373", "tree2": "9fcb1538a3bcebb5",
                 "queries": "ebed1908a7fadecd"},
-    "single": {"ns0": "f85c7556d16b246a", "ns4095": "6290e9a4654a7c76",
+    "single": {"ns0": "f85c7556d16b246a",
                "tree0": "665d9ab1a63ddcf7", "queries": "0eca8260d3df382a"},
     "no-gamma-3": {"ns0": "94d1e4e4caab9187", "ns1": "5d2cf3bb6bb9c20c", "ns2": "b60ccf553c80d84c",
-                   "ns4095": "934e138146c1903f", "tree0": "5e65364d02d96bb3",
+                   "tree0": "5e65364d02d96bb3",
                    "tree1": "548c249e44c9c3c7", "tree2": "3eae74732369cd83",
                    "queries": "4a6c913ca41e6715"},
 }
@@ -52,7 +52,7 @@ GOLDEN = {
 GOLDEN_SCAN = {"ns0": "5c4dda3560bfb968", "queries": "a63ef0783857b05a"}
 
 # the single deployment over the disk log, per namespace of its records
-GOLDEN_DISK = {"ns0": "6b45707217fc577e", "ns4095": "f14f36f53728abd0",
+GOLDEN_DISK = {"ns0": "6b45707217fc577e",
                "queries": "0eca8260d3df382a"}
 
 

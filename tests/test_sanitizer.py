@@ -7,18 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from shrouddb.errors import DataError, ParameterError, QueryError
 from shrouddb.sanitizer import (
-    AggregateTree,
-    PointHistogram,
     alpha_point,
     alpha_range,
     build_point_sanitizer,
     build_range_sanitizer,
     canonical_cover,
     compose,
-    deserialize,
     laplace_sample,
     sanitizer_query,
-    serialize,
     tree_nodes_count,
 )
 
@@ -379,44 +375,3 @@ def test_compose_validation():
         with pytest.raises(ParameterError, match="epsilon must be positive"):
             compose([0.5, bad], disjoint=True)
 
-
-# -- serialization ---------------------------------------------------------------
-
-def test_serialize_roundtrip_tree():
-    r = random.Random(17)
-    tr = build_range_sanitizer([r.randrange(256) for _ in range(100)],
-                               256, 16, LN2, 0.01, r)
-    blob = serialize(tr)
-    tr2 = deserialize(blob)
-    assert isinstance(tr2, AggregateTree)
-    assert tr2.counts == tr.counts
-    assert (tr2.params.N, tr2.params.k, tr2.params.alpha) == \
-        (tr.params.N, tr.params.k, tr.params.alpha)
-    assert tr2.params.epsilon == tr.params.epsilon
-    for lo, hi in [(0, 255), (17, 93), (200, 200)]:
-        assert sanitizer_query(tr2, lo, hi) == sanitizer_query(tr, lo, hi)
-
-
-def test_serialize_roundtrip_point():
-    ph = build_point_sanitizer([1, 2, 2], 8, LN2, 0.5, MedianRng())
-    ph2 = deserialize(serialize(ph))
-    assert isinstance(ph2, PointHistogram)
-    assert ph2.bins == ph.bins
-
-
-def test_serialized_counts_are_u64_le_bfs():
-    tr = build_range_sanitizer([0, 0, 1, 3], 4, 2, LN2, 0.5, MedianRng())
-    blob = serialize(tr)
-    body = blob[-8 * len(tr.counts):]
-    got = [int.from_bytes(body[i * 8:(i + 1) * 8], "little")
-           for i in range(len(tr.counts))]
-    assert got == tr.counts
-
-
-def test_deserialize_rejects_garbage():
-    with pytest.raises(DataError):
-        deserialize(b"not a sanitizer blob")
-    tr = build_range_sanitizer([], 4, 2, LN2, 0.5, MedianRng())
-    blob = serialize(tr)
-    with pytest.raises(DataError):
-        deserialize(blob[:-3])
