@@ -1,15 +1,18 @@
 """Untrusted key-value storage: in-memory, on-disk log, and remote TCP.
 
 All backends share one contract of two batch operations: ``batch_put``
-stores every pair, ``batch_get`` returns the last value written under
-each key or raises ``BatchError`` naming the missing keys. Keys are
-8-byte ``bytes``; values are bytes-like (a buffer of single bytes, not
-an ``int`` or a ``str``), of any length, and every value is checked
-before any pair is applied. A value read back is bytes-like too:
-``RemoteKvs`` returns read-only views into the reply it received, which
-keep that reply alive while any is held. Each batch is one round trip
-and holds the backend's lock throughout, so it is all-or-nothing to
-other callers.
+stores every pair (of a key named twice, the last value), ``batch_get``
+returns the last value written under each key or raises ``BatchError``
+naming the missing keys. Keys are 8-byte ``bytes``; values are
+bytes-like (a buffer of single bytes, not an ``int`` or a ``str``), of
+any length, and every value is checked before any pair is applied. A
+value read back is bytes-like too: ``RemoteKvs`` returns read-only
+views into the reply it received, which keep that reply alive while any
+is held. Each batch is one round trip and holds the backend's lock
+throughout, so it is all-or-nothing to other callers. The disk log
+overwrites a value of unchanged size in place, behind a redo journal
+that makes each batch all-or-nothing across a process crash too (not a
+power loss: nothing is fsynced).
 ``CountingKvs`` is the one wrapper: it counts round trips and logical
 traffic. Several stores share one server by key: ``bucket_key`` puts a
 12-bit namespace above a 52-bit index.
@@ -23,11 +26,15 @@ returns. A store must therefore copy or write out every value before
 
 from __future__ import annotations
 
+import mmap
+import operator
 import os
 import socket
 import struct
 import threading
+import zlib
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from shrouddb import wire
@@ -46,6 +53,9 @@ NAMESPACE_BITS = 12
 INDEX_BITS = 64 - NAMESPACE_BITS
 MAX_INDEX = 1 << INDEX_BITS
 META_NAMESPACE = (1 << NAMESPACE_BITS) - 1
+
+_HEADER = struct.Struct(">8sI")  # a disk record's key and value length
+_TRAILER = struct.Struct(">II")  # a disk journal's record count and crc32
 
 
 def _check_keys(keys: list[bytes], op: str) -> None:
@@ -66,6 +76,23 @@ def _check_pairs(pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
         if not is_bytes_like(v):
             raise ParameterError(f"values are bytes-like, got {type(v).__name__}")
     return keys
+
+
+def _records(keys, values) -> list:
+    """The disk records of ``keys`` and ``values`` as gather-write pieces:
+    ``key || u32 length``, then the value, for each pair. Built by slice
+    assignment, so a setup's batch makes no tuple per record for the
+    collector to walk."""
+    pieces = [b""] * (2 * len(values))
+    pieces[0::2] = map(_HEADER.pack, keys, map(len, values))
+    pieces[1::2] = values
+    return pieces
+
+
+def _write(fd: int, pieces: list) -> None:
+    """One gather write of ``pieces``; a short one is an ``OSError``."""
+    if os.writev(fd, pieces) != sum(map(len, pieces)):
+        raise OSError("short write")
 
 
 class Kvs:
@@ -116,28 +143,57 @@ class MemoryKvs(Kvs):
 
 
 class DiskKvs(Kvs):
-    """Append-only log with an in-memory offset index.
+    """A log of records, overwritten in place behind a redo journal, with
+    an in-memory offset index.
 
     One file per store; records are ``key(8) || u32 length || value``.
-    A batch is one gather write (``os.writev``, split at ``IOV_MAX``
-    pieces), a read one ``os.pread`` per key; POSIX only. Reopening
-    rebuilds the index by a single forward scan; later records for a
-    key shadow earlier ones. A torn record at the tail (a crash
-    mid-append) is cut off on reopen, so the next append starts on a
-    record boundary. A failed or short write is a ``StorageError``, and
-    the log is cut back to where its batch began, so the batch is
-    neither indexed nor left in the file. No compaction.
+    A put of a key already indexed, with a value of the stored length,
+    overwrites that value where it lies; any other pair is appended, in
+    batch order, by gather writes (``os.writev``, split at ``IOV_MAX``
+    pieces). So a store whose keys keep their sizes, as a bucket tree
+    does, stays the size it had after its first batch. Reads and
+    in-place writes go through one writable ``mmap`` of the log's whole
+    records; POSIX only. Reopening rebuilds the index by a single
+    forward scan; later records for a key shadow earlier ones, and take
+    its overwrites, so a log that earlier versions wrote by appending
+    every put still reopens. A torn record at the tail is cut off on
+    reopen, so the next append starts on a record boundary.
+
+    Each batch is first written to a side journal, the log's path plus
+    ``.journal``, in the log's record format and then a trailer of
+    ``u32 record count || u32 crc32`` of those records. Then its appends
+    are written, then its overwrites, and then the journal is truncated
+    to 0 bytes. A batch that names a key twice stores the last value.
+    On open, a journal whose trailer checks is applied again, which ends
+    the same whether the crash came before, during or after its apply;
+    one whose trailer does not check is dropped, as its batch never
+    reached the log. Either way the journal is left empty. Nothing is
+    fsynced, so this covers a process crash with the page cache intact,
+    not a power loss. A failed or short write is a ``StorageError``: the
+    journal is emptied and the log cut back to where the batch's appends
+    began, so no pair of the batch is applied.
     """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self._index: dict[bytes, tuple[int, int]] = {}
         self._lock = threading.Lock()
-        self._per_write = os.sysconf("SC_IOV_MAX") // 2  # records a gather write takes
+        self._per_write = os.sysconf("SC_IOV_MAX")  # pieces a gather write takes
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        self._map: mmap.mmap | None = None
+        self._journal = None
         self._file = open(self._path, "a+b", buffering=0)
-        self._end = self._scan()
-        self._file.truncate(self._end)
+        try:
+            self._journal = open(self._path.with_name(self._path.name + ".journal"), "a+b",
+                                 buffering=0)
+            self._end = self._scan()
+            self._file.truncate(self._end)
+            self._remap()
+            self._apply(self._committed())
+            self._journal.truncate(0)
+        except BaseException:
+            self.close()
+            raise
 
     def _scan(self) -> int:
         """Index the log's whole records; returns the offset where they end."""
@@ -155,6 +211,24 @@ class DiskKvs(Kvs):
                 self._index[header[:KEY_SIZE]] = (off + KEY_SIZE + 4, vlen)
                 off = fh.seek(end)
 
+    def _committed(self) -> dict[bytes, memoryview]:
+        """The batch in the journal if its trailer checks, else none."""
+        fd = self._journal.fileno()
+        data = memoryview(os.pread(fd, os.fstat(fd).st_size, 0))
+        if len(data) < _TRAILER.size:
+            return {}
+        body = data[:-_TRAILER.size]
+        count, crc = _TRAILER.unpack(data[-_TRAILER.size:])
+        if zlib.crc32(body) != crc:
+            return {}
+        batch, off, records = {}, 0, 0
+        while off + _HEADER.size <= len(body):
+            key, vlen = _HEADER.unpack_from(body, off)
+            off += _HEADER.size
+            batch[key] = body[off:off + vlen]
+            off, records = off + vlen, records + 1
+        return batch if (off, records) == (len(body), count) else {}
+
     def _ensure_open(self):
         if self._file.closed:
             raise StorageClosedError("handle is closed")
@@ -166,32 +240,75 @@ class DiskKvs(Kvs):
             missing = [k for k in keys if k not in self._index]
             if missing:
                 raise BatchError(f"{len(missing)} keys missing: {missing[:4]}", missing)
-            fd = self._file.fileno()
-            return [os.pread(fd, vlen, off) for off, vlen in map(self._index.get, keys)]
+            mm = self._map
+            return [mm[off:off + vlen] for off, vlen in map(self._index.get, keys)]
 
     def batch_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
         self._ensure_open()
-        keys = _check_pairs(pairs)
+        _check_pairs(pairs)
+        batch = dict(pairs)  # a key's last value wins
         with self._lock:
-            start = off = self._end
-            entries = []
             try:
-                for i in range(0, len(pairs), self._per_write):
-                    pieces, at = [], off
-                    for k, v in pairs[i:i + self._per_write]:
-                        pieces += (k + struct.pack(">I", len(v)), v)
-                        entries.append((off + KEY_SIZE + 4, len(v)))
-                        off += KEY_SIZE + 4 + len(v)
-                    if os.writev(self._file.fileno(), pieces) != off - at:
-                        raise OSError("short write")
-            except OSError as exc:
-                self._file.truncate(start)  # the batch leaves no bytes behind
-                raise StorageError(f"disk write failed: {exc}") from exc
-            self._end = off
-            self._index.update(zip(keys, entries))
+                self._write_journal(batch)
+                self._apply(batch)
+            finally:
+                self._journal.truncate(0)
+
+    def _write_journal(self, batch: dict[bytes, bytes]) -> None:
+        """Write ``batch`` and its trailer to the empty journal; each gather
+        write's worth of records is joined, so that one ``crc32`` call and
+        one write take it."""
+        fd, crc, pieces = self._journal.fileno(), 0, _records(batch.keys(), batch.values())
+        try:
+            for i in range(0, len(pieces), self._per_write):
+                chunk = b"".join(pieces[i:i + self._per_write])
+                crc = zlib.crc32(chunk, crc)
+                _write(fd, [chunk])
+            _write(fd, [_TRAILER.pack(len(batch), crc)])
+        except OSError as exc:
+            raise StorageError(f"disk write failed: {exc}") from exc
+
+    def _apply(self, batch: dict[bytes, bytes]) -> None:
+        """Append the pairs whose key is new or changes length, then
+        overwrite the rest in place, so a failed append applies nothing."""
+        index = self._index
+        in_place = [(at := index.get(k)) is not None and at[1] == len(v)
+                    for k, v in batch.items()]
+        if not all(in_place):
+            appended = list(map(operator.not_, in_place))
+            self._append(list(compress(batch, appended)), list(compress(batch.values(), appended)))
+        mm = self._map
+        for key, value in compress(batch.items(), in_place):
+            off = index[key][0]
+            mm[off:off + len(value)] = value
+
+    def _append(self, keys: list[bytes], values: list[bytes]) -> None:
+        """Append the pairs of ``keys`` and ``values`` to the log and index
+        them, or, on a failed or short write, cut the log back and raise
+        ``StorageError``."""
+        pieces = _records(keys, values)
+        try:
+            for i in range(0, len(pieces), self._per_write):
+                _write(self._file.fileno(), pieces[i:i + self._per_write])
+        except OSError as exc:
+            self._file.truncate(self._end)  # the batch leaves no bytes behind
+            raise StorageError(f"disk write failed: {exc}") from exc
+        for key, value in zip(keys, values):
+            self._index[key] = (self._end + _HEADER.size, len(value))
+            self._end += _HEADER.size + len(value)
+        self._remap()
+
+    def _remap(self) -> None:
+        """Map the log's whole records, read and write."""
+        if self._map is not None:
+            self._map.close()
+        self._map = mmap.mmap(self._file.fileno(), self._end) if self._end else None
 
     def close(self) -> None:
-        self._file.close()
+        with self._lock:
+            for handle in (self._map, self._journal, self._file):
+                if handle is not None:
+                    handle.close()
 
 
 class RemoteKvs(Kvs):

@@ -52,7 +52,7 @@ GOLDEN = {
 GOLDEN_SCAN = {"ns0": "5c4dda3560bfb968", "queries": "a63ef0783857b05a"}
 
 # the single deployment over the disk log, per namespace of its records
-GOLDEN_DISK = {"ns0": "6b45707217fc577e",
+GOLDEN_DISK = {"ns0": "e3cffa37b84ff392",
                "queries": "0eca8260d3df382a"}
 
 
@@ -94,14 +94,17 @@ def _workload():
     return db, generate_queries(w["domain"], w["selectivity"], w["queries"], w["seed"])
 
 
+def _config(deployment) -> EngineConfig:
+    return EngineConfig(domain=WORKLOAD["domain"], record_size=WORKLOAD["record_size"],
+                        **deployment)
+
+
 @contextmanager
-def _deployed(deployment, storage, data_dir=None):
+def _deployed(deployment, storage):
     """Set up ``deployment`` on ``storage`` and run the workload; yields
     the open state and the query results."""
     db, qs = _workload()
-    config = EngineConfig(domain=WORKLOAD["domain"], record_size=WORKLOAD["record_size"],
-                          **deployment)
-    with setup(db, config, storage, WORKLOAD["seed"], data_dir) as state:
+    with setup(db, _config(deployment), storage, WORKLOAD["seed"]) as state:
         yield state, [query(state, q) for q in qs]
 
 
@@ -138,12 +141,20 @@ def _log_records(path) -> dict[int, list[tuple[bytes, int]]]:
 
 
 def test_disk_log_fingerprint(tmp_path):
-    with _deployed(ENGINE["single"], "disk", tmp_path) as (_, results):
-        pass
+    """The disk log's records, hashed per namespace. Buckets are
+    overwritten in place, so after the queries the log holds the very
+    (key, size) records it held right after setup."""
+    db, qs = _workload()
+    log = tmp_path / "store.log"
+    with setup(db, _config(ENGINE["single"]), "disk", WORKLOAD["seed"], tmp_path) as state:
+        after_setup = _log_records(log)
+        results = [query(state, q) for q in qs]
+    records = _log_records(log)
+    assert records == after_setup
     got = {}
-    for ns, records in _log_records(tmp_path / "store.log").items():
+    for ns, entries in records.items():
         h = hashlib.sha256()
-        for key, size in records:
+        for key, size in entries:
             h.update(key + struct.pack(">q", size))
         got[f"ns{ns}"] = _digest(h)
     assert {**got, "queries": _queries(list(map(vars, results)))} == GOLDEN_DISK

@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+import zlib
 
 import pytest
 from conftest import FullDisk
@@ -51,6 +52,9 @@ def test_backend_contract(tmp_path, server):
         assert ei.value.missing == [k(99)]
         kvs.batch_put([(k(2), b"two"), (k(3), b"three" * 100)])
         assert kvs.batch_get([k(3), k(2), k(1)]) == [b"three" * 100, b"two", b"uno"]
+        # a key twice in one batch, at the stored length and at another: the last value wins
+        kvs.batch_put([(k(2), b"TWO"), (k(1), b"UNO"), (k(2), b"deux!")])
+        assert kvs.batch_get([k(1), k(2)]) == [b"UNO", b"deux!"]
         with pytest.raises(BatchError) as ei:
             kvs.batch_get([k(2), k(77), k(78)])
         assert set(ei.value.missing) == {k(77), k(78)}
@@ -162,20 +166,25 @@ def test_disk_torn_header_is_cut_on_reopen(tmp_path):
     d.close()
 
 
+def _journal(path):
+    return path.with_name(path.name + ".journal")
+
+
 def _failed_batch_is_cut(path, writev, monkeypatch):
-    """A batch whose gather write goes through ``writev`` is refused and
-    leaves the log as it was, so the same batch sent again reads back,
-    also on reopen."""
+    """A batch whose journal write goes through ``writev`` is refused and
+    leaves the log as it was and the journal empty, so the same batch
+    sent again reads back, also on reopen."""
     d = DiskKvs(path)
     old = [(k(i), b"old-%d" % i * 4) for i in range(10)]
     new = [(k(i), b"new-%d" % i * 4) for i in range(10)]
     d.batch_put(old)
-    size = path.stat().st_size
+    before = path.read_bytes()
     with monkeypatch.context() as patch:
         patch.setattr(os, "writev", writev)
         with pytest.raises(StorageError, match="disk write failed"):
             d.batch_put(new)
-    assert path.stat().st_size == size
+    assert path.read_bytes() == before
+    assert _journal(path).stat().st_size == 0
     assert d.batch_get([k(0)]) == [old[0][1]]
     d.batch_put(new)
     assert d.batch_get([key for key, _ in new]) == [v for _, v in new]
@@ -194,6 +203,195 @@ def test_disk_short_write_is_refused_and_cut(tmp_path, monkeypatch):
         return os.write(fd, b"".join(buffers)[:25])
 
     _failed_batch_is_cut(tmp_path / "short.log", short, monkeypatch)
+
+
+def test_disk_failed_append_applies_no_overwrite(tmp_path, monkeypatch):
+    """A batch whose journal is written but whose append fails partway
+    applies neither its append nor its overwrite, and leaves none of the
+    append's bytes in the log."""
+    path = tmp_path / "mixed.log"
+    d = DiskKvs(path)
+    d.batch_put([(k(1), b"one"), (k(2), b"two")])
+    before = path.read_bytes()
+    batch = [(k(1), b"ONE"), (k(3), b"three")]  # an overwrite, then an append
+    journal = sum(8 + 4 + len(v) for _, v in batch) + 8  # records and trailer
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "writev", FullDisk(journal + 5))  # 5 bytes of the append land
+        with pytest.raises(StorageError, match="disk write failed"):
+            d.batch_put(batch)
+    assert path.read_bytes() == before
+    assert _journal(path).stat().st_size == 0
+    assert d.batch_get([k(1), k(2)]) == [b"one", b"two"]
+    with pytest.raises(BatchError):
+        d.batch_get([k(3)])
+    d.close()
+    d = DiskKvs(path)
+    assert d.batch_get([k(1), k(2)]) == [b"one", b"two"]
+    with pytest.raises(BatchError):
+        d.batch_get([k(3)])
+    d.close()
+
+
+def _record(key, value):
+    return key + struct.pack(">I", len(value)) + value
+
+
+def test_disk_overwrites_in_place_behind_a_journal(tmp_path, monkeypatch):
+    """A put at a key's stored length overwrites the value where it lies
+    and a new key appends; the batch first goes to the journal as the
+    log's records and a trailer of u32 count || u32 crc32, which is
+    emptied once the batch is applied."""
+    path = tmp_path / "store.log"
+    d = DiskKvs(path)
+    d.batch_put([(k(1), b"one"), (k(2), b"two")])
+    written = []
+    real = os.writev
+
+    def spy(fd, buffers):
+        if os.path.samestat(os.fstat(fd), os.stat(_journal(path))):
+            written.append(b"".join(buffers))
+        return real(fd, buffers)
+
+    monkeypatch.setattr(os, "writev", spy)
+    d.batch_put([(k(2), b"TWO"), (k(3), b"three")])
+    body = _record(k(2), b"TWO") + _record(k(3), b"three")
+    assert b"".join(written) == body + struct.pack(">II", 2, zlib.crc32(body))
+    assert _journal(path).stat().st_size == 0
+    assert path.read_bytes() == _record(k(1), b"one") + _record(k(2), b"TWO") \
+        + _record(k(3), b"three")
+    d.close()
+
+
+def test_disk_shadowed_log_takes_overwrites_at_latest_records(tmp_path):
+    """A log with shadowed records, as earlier versions wrote it, takes
+    each overwrite at its key's latest record and reads back exactly."""
+    path = tmp_path / "shadowed.log"
+    path.write_bytes(_record(k(7), b"seven") + _record(k(8), b"eight")
+                     + _record(k(7), b"SEVEN"))
+    d = DiskKvs(path)
+    d.batch_put([(k(7), b"7-7-7"), (k(8), b"EIGHT")])
+    d.close()
+    assert path.read_bytes() == _record(k(7), b"seven") + _record(k(8), b"EIGHT") \
+        + _record(k(7), b"7-7-7")
+    d = DiskKvs(path)
+    assert d.batch_get([k(7), k(8)]) == [b"7-7-7", b"EIGHT"]
+    d.close()
+
+
+OLD = [(k(i), b"old-%d" % i) for i in range(4)]
+NEW = [(k(i), b"new-%d" % i) for i in range(4)] + [(k(9), b"appended")]
+
+
+def _crash_states(tmp_path):
+    """The log before the batch NEW, the log after it, and the journal
+    it wrote; each as bytes."""
+    path = tmp_path / "whole.log"
+    d = DiskKvs(path)
+    d.batch_put(OLD)
+    old_log = path.read_bytes()
+    body = b"".join(_record(key, v) for key, v in NEW)
+    d.batch_put(NEW)
+    d.close()
+    return old_log, path.read_bytes(), body + struct.pack(">II", len(NEW), zlib.crc32(body))
+
+
+def _reopen(path, log, journal):
+    """Lay ``log`` and ``journal`` down as a crash left them; reopen and
+    return every key's value, None if missing."""
+    path.write_bytes(log)
+    _journal(path).write_bytes(journal)
+    d = DiskKvs(path)
+    try:
+        got = []
+        for key in [key for key, _ in NEW]:
+            try:
+                got.append(d.batch_get([key])[0])
+            except BatchError:
+                got.append(None)
+    finally:
+        d.close()
+    assert _journal(path).stat().st_size == 0
+    return got
+
+
+def test_disk_journal_cut_at_every_byte_is_all_or_nothing(tmp_path):
+    """A crash while the journal is written, at every byte offset: the
+    log is untouched, and on reopen the batch is wholly old, or wholly
+    new once the journal is whole. A journal whose trailer does not
+    check its records is dropped."""
+    old_log, _, journal = _crash_states(tmp_path)
+    old = [v for _, v in OLD] + [None]
+    new = [v for _, v in NEW]
+    path = tmp_path / "crash.log"
+    for cut in range(len(journal) + 1):
+        assert _reopen(path, old_log, journal[:cut]) == (new if cut == len(journal) else old), cut
+    for at in range(len(journal)):  # a whole journal with a byte flipped anywhere is dropped
+        flipped = bytearray(journal)
+        flipped[at] ^= 0x20
+        assert _reopen(path, old_log, bytes(flipped)) == old, at
+
+
+def test_disk_crash_mid_apply_is_replayed(tmp_path):
+    """A whole journal beside a log cut anywhere in the batch's append,
+    or with its append and only the first j overwrites applied, or with
+    all of them, reopens wholly new; the log's records end as a full
+    apply leaves them."""
+    old_log, new_log, journal = _crash_states(tmp_path)
+    new = [v for _, v in NEW]
+    appended = old_log + _record(k(9), b"appended")
+    states = [appended[:cut] for cut in range(len(old_log), len(appended))]
+    for j in range(len(OLD) + 1):
+        log = bytearray(appended)
+        for i, (_, v) in enumerate(NEW[:j]):  # record i of OLD begins at i * len(record)
+            at = i * len(_record(k(i), v)) + 8 + 4
+            log[at:at + len(v)] = v
+        states.append(bytes(log))
+    assert states[-1] == new_log  # a crash after the apply, before the truncate
+    path = tmp_path / "crash.log"
+    for log in states:
+        assert _reopen(path, log, journal) == new
+        assert path.read_bytes() == new_log
+
+
+def test_disk_deployment_log_keeps_its_setup_size(tmp_path):
+    """Over 300 queries, a disk deployment's log keeps the size it had
+    after setup, and its journal is empty between batches."""
+    from shrouddb.data import Database, Record, range_query
+    from shrouddb.engine import EngineConfig, query, setup
+
+    r = random.Random(8)
+    db = Database([Record(i, r.randrange(100), r.randbytes(16)) for i in range(200)])
+    log = tmp_path / "store.log"
+    with setup(db, EngineConfig(domain=100, record_size=16, m=2), "disk", 4, tmp_path) as state:
+        size = log.stat().st_size
+        for _ in range(300):
+            a = r.randrange(100)
+            res = query(state, range_query(a, min(99, a + r.randrange(5))))
+            assert not res.failed
+            assert (log.stat().st_size, _journal(log).stat().st_size) == (size, 0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+def test_disk_close_releases_every_handle(tmp_path):
+    """``close`` closes the log, the journal and the map; an open that
+    fails closes what it had opened."""
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    d = DiskKvs(tmp_path / "store.log")
+    d.batch_put([(k(1), b"one")])
+    assert d.batch_get([k(1)]) == [b"one"]
+    d.close()
+    with pytest.raises(StorageClosedError):
+        d.batch_get([k(1)])
+    with pytest.raises(StorageClosedError):
+        d.batch_put([(k(1), b"uno")])
+    assert open_fds() <= before
+    _journal(tmp_path / "blocked.log").mkdir()  # the journal cannot be opened
+    with pytest.raises(OSError):
+        DiskKvs(tmp_path / "blocked.log")
+    assert open_fds() <= before
 
 
 def test_counting_kvs_logical_bytes():
