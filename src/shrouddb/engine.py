@@ -65,6 +65,7 @@ __all__ = [
     "QueryResult",
     "setup",
     "query",
+    "quotas",
     "register_attribute",
     "compute_gamma",
     "MODES",
@@ -181,13 +182,6 @@ class EngineState:
         return sum(8 * len(ds.counts) for _, group, _ in self.indexed.values() for ds in group)
 
 
-def _pad_domain(domain: int, k: int) -> int:
-    n = k
-    while n < domain:
-        n *= k
-    return n
-
-
 def _stream(seed: int | None, label: str) -> random.Random:
     """The ``label`` stream of a seeded deployment; OS entropy without a seed."""
     return system_rng() if seed is None else derive_stream(seed, label)
@@ -206,17 +200,14 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     hold one integer in ``[0, domain)`` per record; otherwise nothing is
     stored and a ``DataError`` names the column."""
     m, n = config.m, len(db.records)
-    hash_key = keygen(AES_BITS, _stream(seed, "key:hash"))
+    rids, keys = [r.rid for r in db.records], [r.key for r in db.records]
+    oram_of = _partition(seed, rids, m)
     groups: list[list[Record]] = [[] for _ in range(m)]
-    rids, keys, oram_of, addr = [], [], [], []
-    for r in db.records:
+    addr = []
+    for r, j in zip(db.records, oram_of.tolist()):
         if len(r.payload) != config.record_size:
             raise DataError(f"record {r.rid} payload is {len(r.payload)} bytes, "
                             f"expected {config.record_size}")
-        j = partition_of(hash_key, r.rid, m)
-        rids.append(r.rid)
-        keys.append(r.key)
-        oram_of.append(j)
         addr.append(len(groups[j - 1]))  # a record's address is its place in its partition
         groups[j - 1].append(r)
     n_per = [len(g) for g in groups]
@@ -233,7 +224,7 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     store = storage if isinstance(storage, Kvs) else connect(storage, data_dir)
     state = EngineState(
         config=config, rids=np.array(rids, dtype=np.uint64), columns=columns, orams=[],
-        oram_of=np.array(oram_of, dtype=np.int64), addr=np.array(addr, dtype=np.int64),
+        oram_of=oram_of, addr=np.array(addr, dtype=np.int64),
         n_per=n_per, indexed={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
         seed=seed, opened=None if store is storage else store,
@@ -254,23 +245,32 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     return state
 
 
-def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
-    config = state.config
-    values = state.columns[attribute]
-    index = bptree.create_index(values)
+def _partition(seed: int | None, rids: list[int], m: int) -> np.ndarray:
+    """Each record's ORAM (1..m) in the deployment ``seed`` sets up."""
+    hash_key = keygen(AES_BITS, _stream(seed, "key:hash"))
+    return np.array([partition_of(hash_key, rid, m) for rid in rids], dtype=np.int64)
 
-    k = config.fanout
-    N = _pad_domain(config.domain, k)
+
+def _sanitizers(config: EngineConfig, values: np.ndarray, oram_of: np.ndarray,
+                seed: int | None, attribute: str, epsilon: float) -> list:
+    """One column's sanitizers over the domain padded to a power of the
+    fanout: one shared, or in ``no-gamma`` mode one per ORAM."""
+    k = N = config.fanout
+    while N < config.domain:
+        N *= k
     if config.mode == "no-gamma":
-        group = [sanitizer.build_range_sanitizer(
-                     values[state.oram_of == j], N, k, epsilon, config.beta,
-                     _stream(state.seed, f"sanitizer:{attribute}:{j}"))
-                 for j in range(1, config.m + 1)]
-    else:
-        rng = _stream(state.seed, f"sanitizer:{attribute}:0")
-        group = [sanitizer.build_range_sanitizer(
-            values, N, k, epsilon, config.beta, rng)]
-    state.indexed[attribute] = (index, group, epsilon)
+        return [sanitizer.build_range_sanitizer(
+                    values[oram_of == j], N, k, epsilon, config.beta,
+                    _stream(seed, f"sanitizer:{attribute}:{j}"))
+                for j in range(1, config.m + 1)]
+    return [sanitizer.build_range_sanitizer(values, N, k, epsilon, config.beta,
+                                            _stream(seed, f"sanitizer:{attribute}:0"))]
+
+
+def _install_attribute(state: EngineState, attribute: str, epsilon: float) -> None:
+    values = state.columns[attribute]
+    group = _sanitizers(state.config, values, state.oram_of, state.seed, attribute, epsilon)
+    state.indexed[attribute] = (bptree.create_index(values), group, epsilon)
     del state.columns[attribute]
 
 
@@ -300,6 +300,18 @@ def register_attribute(state: EngineState, attribute: str, epsilon: float) -> No
 def spent_budget(state: EngineState) -> float:
     """Total privacy budget across registered attributes."""
     return sanitizer.compose([e for *_, e in state.indexed.values()], disjoint=False)
+
+
+def quotas(config: EngineConfig, sanitizers: list, a: int, b: int) -> list[int]:
+    """Each ORAM's fetch for the range ``[a, b]``: in ``no-gamma`` mode its
+    own noisy count, else an equal share of the shared one, inflated by
+    ``compute_gamma`` in ``gamma`` mode; more matches fail the query."""
+    if config.mode == "no-gamma":
+        return [sanitizer.sanitizer_query(ds, a, b) for ds in sanitizers]
+    share = k0 = sanitizer.sanitizer_query(sanitizers[0], a, b)
+    if config.mode == "gamma" and k0 > 0:
+        share = math.ceil((1.0 + compute_gamma(config.m, config.beta, k0)) * k0 / config.m)
+    return [share] * config.m
 
 
 def _noise_addresses(n_j: int, taken: set[int], need: int,
@@ -345,28 +357,19 @@ def query(state: EngineState, q: Query) -> QueryResult:
         if not 0 <= q.a <= q.b < config.domain:
             raise QueryError(f"range [{q.a}, {q.b}] outside domain [0, {config.domain})")
 
+        # the plan: each ORAM's matching record positions, in index order,
+        # and its quota; no storage call, no padding drawn
         m = config.m
         index, dss, _ = state.indexed[q.attribute]
-        pos = bptree.lookup(index, q)  # matching record positions
-        t_rids: list[list[int]] = [[] for _ in range(m)]
-        t_addrs: list[list[int]] = [[] for _ in range(m)]
-        for rid, j, a in zip(state.rids[pos].tolist(), state.oram_of[pos].tolist(),
-                             state.addr[pos].tolist()):
-            t_rids[j - 1].append(rid)
-            t_addrs[j - 1].append(a)
+        pos = bptree.lookup(index, q)
+        matches = [pos[state.oram_of[pos] == j] for j in range(1, m + 1)]
+        quota = quotas(config, dss, q.a, q.b)
+        failed = any(len(t) > k for t, k in zip(matches, quota))
 
-        if config.mode == "no-gamma":
-            quotas = [sanitizer.sanitizer_query(ds, q.a, q.b) for ds in dss]
-        else:
-            share = k0 = sanitizer.sanitizer_query(dss[0], q.a, q.b)
-            if config.mode == "gamma" and k0 > 0:
-                share = math.ceil((1.0 + compute_gamma(m, config.beta, k0)) * k0 / m)
-            quotas = [share] * m
-
-        # each ORAM reads its matches first, then its padding
-        plans = [t + _noise_addresses(n_j, set(t), quota - len(t), rng)
-                 for t, n_j, quota, rng in zip(t_addrs, state.n_per, quotas, state.noise_rngs)]
-        failed = any(len(t) > quota for t, quota in zip(t_addrs, quotas))
+        # the fetch: each ORAM reads its matches first, then its padding
+        addrs = [state.addr[t].tolist() for t in matches]
+        plans = [t + _noise_addresses(n_j, set(t), k - len(t), rng)
+                 for t, n_j, k, rng in zip(addrs, state.n_per, quota, state.noise_rngs)]
 
         counters = [st.store.counters for st in state.orams]
         before = [c.snapshot() for c in counters]
@@ -385,7 +388,7 @@ def query(state: EngineState, q: Query) -> QueryResult:
 
         found: list[Record] = []
         for j in range(m):
-            for rid, blob in zip(t_rids[j], blocks[j]):  # the first len(t) blocks are the matches
+            for rid, blob in zip(state.rids[matches[j]].tolist(), blocks[j]):  # matches come first
                 got = unpack_record(blob)
                 if got.rid != rid:
                     raise DataError(f"store returned record {got.rid} for id {rid}")

@@ -89,6 +89,20 @@ def _records(keys, values) -> list:
     return pieces
 
 
+def _parse(buf) -> tuple[dict[bytes, tuple[int, int]], int, int]:
+    """Each key's value offset and length in the whole disk records at the
+    start of ``buf``, later records shadowing earlier ones; the offset
+    where they end; how many there are."""
+    index, off, count = {}, 0, 0
+    while off + _HEADER.size <= len(buf):
+        key, vlen = _HEADER.unpack_from(buf, off)
+        if off + _HEADER.size + vlen > len(buf):
+            break
+        index[key] = (off + _HEADER.size, vlen)
+        off, count = off + _HEADER.size + vlen, count + 1
+    return index, off, count
+
+
 def _write(fd: int, pieces: list) -> None:
     """One gather write of ``pieces``; a short one is an ``OSError``."""
     if os.writev(fd, pieces) != sum(map(len, pieces)):
@@ -186,7 +200,9 @@ class DiskKvs(Kvs):
         try:
             self._journal = open(self._path.with_name(self._path.name + ".journal"), "a+b",
                                  buffering=0)
-            self._end = self._scan()
+            self._end = os.fstat(self._file.fileno()).st_size
+            self._remap()  # the whole file, for the scan; a torn tail is then cut off
+            self._index, self._end, _ = _parse(self._map or b"")
             self._file.truncate(self._end)
             self._remap()
             self._apply(self._committed())
@@ -194,22 +210,6 @@ class DiskKvs(Kvs):
         except BaseException:
             self.close()
             raise
-
-    def _scan(self) -> int:
-        """Index the log's whole records; returns the offset where they end."""
-        with open(self._path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            off = 0
-            while True:
-                header = fh.read(KEY_SIZE + 4)
-                if len(header) < KEY_SIZE + 4:
-                    return off
-                (vlen,) = struct.unpack(">I", header[KEY_SIZE:])
-                end = off + KEY_SIZE + 4 + vlen
-                if end > size:
-                    return off
-                self._index[header[:KEY_SIZE]] = (off + KEY_SIZE + 4, vlen)
-                off = fh.seek(end)
 
     def _committed(self) -> dict[bytes, memoryview]:
         """The batch in the journal if its trailer checks, else none."""
@@ -221,13 +221,10 @@ class DiskKvs(Kvs):
         count, crc = _TRAILER.unpack(data[-_TRAILER.size:])
         if zlib.crc32(body) != crc:
             return {}
-        batch, off, records = {}, 0, 0
-        while off + _HEADER.size <= len(body):
-            key, vlen = _HEADER.unpack_from(body, off)
-            off += _HEADER.size
-            batch[key] = body[off:off + vlen]
-            off, records = off + vlen, records + 1
-        return batch if (off, records) == (len(body), count) else {}
+        index, end, records = _parse(body)
+        if (end, records) != (len(body), count):
+            return {}
+        return {key: body[off:off + vlen] for key, (off, vlen) in index.items()}
 
     def _ensure_open(self):
         if self._file.closed:

@@ -6,16 +6,34 @@ ratios are bounded on neighboring inputs, and the bias parameters are
 re-derived in high-precision arithmetic to confirm minimality. Each
 audit returns a small report with the statistic, the threshold it was
 held to, and the verdict.
+
+The failure audit runs a quota rule over many builds of a benchmark
+workload's sanitizers, without ORAM or storage, and counts the queries
+whose matches in some ORAM exceed its quota. A change to any quota
+runs it first:
+
+    PYTHONPATH=src python tests/audit.py failures --workload range-4k-remote --builds 1000
+
+It prints one JSON line, and exits 1 if any query failed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import argparse
+import json
+import runpy
+import sys
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
+from scipy.stats import beta as beta_distribution
 from scipy.stats import chi2_contingency
 
+from shrouddb import engine
+from shrouddb.bench import generate_dataset, generate_queries
+from shrouddb.bptree import create_index, lookup
 from shrouddb.errors import ParameterError
 from shrouddb.rng import derive_stream
 from shrouddb.sanitizer import (_key_counts, _tree_height, alpha_point, alpha_range,
@@ -23,11 +41,18 @@ from shrouddb.sanitizer import (_key_counts, _tree_height, alpha_point, alpha_ra
 
 __all__ = [
     "AuditReport",
+    "FailureReport",
     "audit_obliviousness",
     "audit_dp_ratio",
     "audit_alpha_point_minimality",
     "audit_alpha_range_minimality",
+    "audit_failures",
+    "clopper_pearson_upper",
+    "quota_build",
+    "perfbench_workloads",
 ]
+
+PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 @dataclass(frozen=True)
@@ -143,3 +168,107 @@ def audit_alpha_range_minimality(epsilon: float, beta: float, N: int,
     """Same check for the aggregate tree, where noise scales with height."""
     return _minimality("alpha-range-minimality", alpha_range(epsilon, beta, N, k),
                        epsilon, _tree_height(N, k), tree_nodes_count(N, k), beta)
+
+
+# -- quota failures ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FailureReport:
+    """What one quota rule did over ``builds`` builds of one workload's
+    sanitizers, each asked the stream's first ``queries`` queries. The
+    upper bounds are one-sided Clopper–Pearson at 95%; the slack, quota
+    minus true matches, is per ORAM over every build and query."""
+
+    builds: int
+    queries: int
+    failed_queries: int
+    failed_queries_upper: float
+    failed_builds: int
+    failed_builds_upper: float
+    min_slack: list[int]
+    median_slack: list[float]
+    passed: bool
+
+
+def clopper_pearson_upper(failures: int, trials: int) -> float:
+    """One-sided 95% Clopper–Pearson upper bound on a rate seen as
+    ``failures`` in ``trials``."""
+    if not 0 <= failures <= trials or trials < 1:
+        raise ParameterError(f"{failures} failures in {trials} trials")
+    if failures == trials:
+        return 1.0
+    return float(beta_distribution.ppf(0.95, failures + 1, trials - failures))
+
+
+def quota_build(config: engine.EngineConfig, rids: list[int], keys: np.ndarray,
+                seed: int) -> tuple[np.ndarray, list]:
+    """The partition map and the key column's sanitizers that
+    ``setup(seed=seed)`` makes for these records, built with no ORAM, no
+    storage and no sealing."""
+    oram_of = engine._partition(seed, rids, config.m)
+    return oram_of, engine._sanitizers(config, keys, oram_of, seed, "key", config.epsilon)
+
+
+def audit_failures(shape, builds: int, queries: int, rule=engine.quotas) -> FailureReport:
+    """Run ``rule(config, sanitizers, a, b)`` over builds ``1..builds`` of
+    ``shape``, a ``perfbench/run.py`` workload: its dataset and the first
+    ``queries`` queries of its stream, both of seed 1, with the
+    benchmark's privacy settings. Build ``s`` is ``setup(seed=s)``'s."""
+    if builds < 1 or queries < 1:
+        raise ParameterError("an audit needs at least one build and one query")
+    config = engine.EngineConfig(domain=shape.domain, record_size=1, m=shape.m,
+                                 mode=shape.mode)
+    # keys are drawn apart from payloads, so a 1-byte record has the same keys
+    db = generate_dataset(shape.n, shape.domain, 1, seed=1)
+    kind = "point" if shape.span == 1 else "range"
+    stream = generate_queries(shape.domain, shape.span / shape.domain, queries, 1, kind)
+    rids = [r.rid for r in db.records]
+    keys = np.array([r.key for r in db.records], dtype=np.int64)
+    index = create_index(keys)
+    matched = [lookup(index, q) for q in stream]
+    which = np.repeat(np.arange(queries), [len(p) for p in matched])
+    positions = np.concatenate(matched)
+
+    slack = np.empty((builds, queries, config.m), dtype=np.int64)
+    for s in range(1, builds + 1):
+        oram_of, group = quota_build(config, rids, keys, s)
+        true = np.bincount(which * config.m + oram_of[positions] - 1,
+                           minlength=queries * config.m).reshape(queries, config.m)
+        slack[s - 1] = [rule(config, group, q.a, q.b) for q in stream]
+        slack[s - 1] -= true
+    failed = (slack < 0).any(axis=2)
+    failed_queries, failed_builds = int(failed.sum()), int(failed.any(axis=1).sum())
+    per_oram = slack.reshape(-1, config.m)
+    return FailureReport(
+        builds=builds, queries=queries,
+        failed_queries=failed_queries,
+        failed_queries_upper=clopper_pearson_upper(failed_queries, builds * queries),
+        failed_builds=failed_builds,
+        failed_builds_upper=clopper_pearson_upper(failed_builds, builds),
+        min_slack=per_oram.min(axis=0).tolist(),
+        median_slack=np.median(per_oram, axis=0).tolist(),
+        passed=failed_queries == 0)
+
+
+def perfbench_workloads() -> dict:
+    """The benchmark's workloads by name, as ``perfbench/run.py`` defines them."""
+    return runpy.run_path(str(PERFBENCH_RUN))["WORKLOADS"]
+
+
+def main(argv=None) -> int:
+    workloads = perfbench_workloads()
+    p = argparse.ArgumentParser(description="Run one of the audits from the command line.")
+    commands = p.add_subparsers(dest="audit", required=True)
+    failures = commands.add_parser("failures", help="a quota rule's failures at a workload")
+    failures.add_argument("--workload", required=True, choices=sorted(workloads))
+    failures.add_argument("--builds", type=int, required=True)
+    failures.add_argument("--queries", type=int, default=400,
+                          help="queries of the stream each build is asked")
+    args = p.parse_args(argv)
+    report = audit_failures(workloads[args.workload], args.builds, args.queries)
+    print(json.dumps({"workload": args.workload, **asdict(report)}))
+    return 0 if report.passed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

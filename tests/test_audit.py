@@ -1,17 +1,31 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import binom
 
 from audit import (
     AuditReport,
     audit_alpha_point_minimality,
     audit_alpha_range_minimality,
     audit_dp_ratio,
+    audit_failures,
     audit_obliviousness,
+    clopper_pearson_upper,
+    perfbench_workloads,
+    quota_build,
 )
+from shrouddb.bench import generate_dataset
+from shrouddb.engine import EngineConfig, quotas, setup
 from shrouddb.errors import DataError, ParameterError
-from shrouddb.sanitizer import laplace_sample
+from shrouddb.sanitizer import canonical_cover, laplace_sample
+from shrouddb.storage import MemoryKvs
 
 LN2 = math.log(2)
 
@@ -120,6 +134,86 @@ def test_range_bias_minimal(eps, beta, N, k, alpha):
     assert rep.passed
     assert rep.statistic == alpha
     assert "+minimal" in rep.detail
+
+
+# -- quota failures ------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode,m", [("single", 1), ("gamma", 3), ("no-gamma", 3)])
+def test_audit_build_is_the_setup_of_its_seed(mode, m):
+    db = generate_dataset(300, 100, 8, seed=4)
+    config = EngineConfig(domain=100, record_size=8, m=m, mode=mode)
+    rids = [r.rid for r in db.records]
+    keys = np.array([r.key for r in db.records], dtype=np.int64)
+    for seed in (1, 2):
+        oram_of, group = quota_build(config, rids, keys, seed)
+        with setup(db, config, MemoryKvs(), seed=seed) as state:
+            assert np.array_equal(oram_of, state.oram_of)
+            built = state.indexed["key"][1]
+            assert [ds.params for ds in group] == [ds.params for ds in built]
+            assert [ds.counts for ds in group] == [ds.counts for ds in built]
+
+
+class _Unbiased:
+    """A range sanitizer whose answers drop the node bias: the noisy
+    counts of the cover, less ``alpha`` for each of its nodes."""
+
+    def __init__(self, ds):
+        self.ds = ds
+
+    def query(self, a, b):
+        cover = canonical_cover(a, b, self.ds.height, self.ds.params.k)
+        return self.ds.query(a, b) - self.ds.params.alpha * len(cover)
+
+
+def unbiased_quotas(config, sanitizers, a, b):
+    return quotas(config, [_Unbiased(ds) for ds in sanitizers], a, b)
+
+
+def test_quota_rule_passes_the_gate_at_range_4k_remote():
+    """The gate a quota change passes before any benchmark runs, here at
+    the benchmark workload's own shape and stream."""
+    shape = perfbench_workloads()["range-4k-remote"]
+    rep = audit_failures(shape, builds=100, queries=400)
+    assert (rep.failed_queries, rep.failed_builds) == (0, 0)
+    assert rep.passed
+    assert rep.failed_queries_upper == pytest.approx(1 - 0.05 ** (1 / 40_000))
+    assert len(rep.min_slack) == len(rep.median_slack) == shape.m
+    assert 0 < min(rep.min_slack) <= min(rep.median_slack)
+
+
+def test_gate_refuses_a_rule_without_the_node_bias():
+    shape = perfbench_workloads()["range-4k-remote"]
+    rep = audit_failures(shape, builds=10, queries=400, rule=unbiased_quotas)
+    assert not rep.passed
+    assert rep.failed_queries > 0 and rep.failed_builds > 0
+    assert min(rep.min_slack) < 0
+
+
+def test_failure_audit_command_prints_one_json_line():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "tests/audit.py", "failures", "--workload", "point-64-disk",
+         "--builds", "2", "--queries", "50"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    (line,) = proc.stdout.splitlines()
+    report = json.loads(line)
+    assert report["workload"] == "point-64-disk" and report["passed"]
+    assert (report["builds"], report["queries"], report["failed_queries"]) == (2, 50, 0)
+
+
+@pytest.mark.parametrize("failures,trials", [(0, 100), (5, 100), (17, 1000), (0, 40_000)])
+def test_clopper_pearson_upper_leaves_5_percent_at_or_below_the_count(failures, trials):
+    upper = clopper_pearson_upper(failures, trials)
+    assert binom.cdf(failures, trials, upper) == pytest.approx(0.05)
+    assert clopper_pearson_upper(trials, trials) == 1.0
+
+
+@pytest.mark.parametrize("failures,trials", [(-1, 10), (11, 10), (0, 0)])
+def test_clopper_pearson_refuses_impossible_counts(failures, trials):
+    with pytest.raises(ParameterError):
+        clopper_pearson_upper(failures, trials)
 
 
 # -- report rendering ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import threading
 import time
 import types
 
+import numpy as np
 import pytest
 from conftest import RecordingKvs
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -21,6 +22,7 @@ from shrouddb.engine import (
     _noise_addresses,
     compute_gamma,
     query,
+    quotas,
     register_attribute,
     setup,
     spent_budget,
@@ -322,6 +324,48 @@ def test_zero_count_zero_reads():
         assert not res.failed
         assert res.fetched_count == 0
         assert res.records == []
+    finally:
+        state.close()
+
+
+class TrueCount:
+    """A sanitizer that answers the true count of its records moved by ``by``."""
+
+    def __init__(self, values, by):
+        self.values, self.by = values, by
+
+    def query(self, a, b):
+        return int(((self.values >= a) & (self.values <= b)).sum()) + self.by
+
+
+@pytest.mark.parametrize("shift", [None, 0, -5],
+                         ids=["own-sanitizers", "true-counts", "undershooting"])
+@pytest.mark.parametrize("mode,m", [("single", 1), ("gamma", 3), ("no-gamma", 3)])
+def test_query_fetches_by_the_rule_the_audit_runs(mode, m, shift):
+    """Each ORAM reads ``max(quota, matches)`` records, its quota from
+    ``quotas`` over the state's own sanitizers, and a query fails exactly
+    when some ORAM's matches exceed its quota, not when they meet it."""
+    db = small_db()
+    state = setup(db, config(mode=mode, m=m), MemoryKvs(), seed=12)
+    try:
+        index, dss, epsilon = state.indexed["key"]
+        if shift is not None:
+            keys = np.array([r.key for r in db.records])
+            groups = [keys[state.oram_of == j] for j in range(1, m + 1)] \
+                if mode == "no-gamma" else [keys]
+            dss = [TrueCount(values, shift) for values in groups]
+            state.indexed["key"] = (index, dss, epsilon)
+        failures = 0
+        for a in range(0, 100, 3):
+            q = range_query(a, min(99, a + 2 + a % 20))
+            res = query(state, q)
+            oram_of = state.oram_of[expected(db, q)]  # record i has id i
+            matches = [int((oram_of == j).sum()) for j in range(1, m + 1)]
+            quota = quotas(state.config, dss, q.a, q.b)
+            assert res.per_oram_requests == [max(k, t) for k, t in zip(quota, matches)]
+            assert res.failed == any(t > k for k, t in zip(quota, matches))
+            failures += res.failed
+        assert (failures > 0) == (shift == -5)  # both sides of the rule are reached
     finally:
         state.close()
 
