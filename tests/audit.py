@@ -14,12 +14,15 @@ runs it first:
 
     PYTHONPATH=src python tests/audit.py failures --workload range-4k-remote --builds 1000
 
-It prints one JSON line, and exits 1 if any query failed.
+Each build is asked the stream's first ``GATE_QUERIES`` queries. It
+prints one JSON line, and exits 1 if any query failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import runpy
 import sys
@@ -32,7 +35,6 @@ from scipy.stats import beta as beta_distribution
 from scipy.stats import chi2_contingency
 
 from shrouddb import engine
-from shrouddb.bench import generate_dataset, generate_queries
 from shrouddb.bptree import create_index, lookup
 from shrouddb.errors import ParameterError
 from shrouddb.rng import derive_stream
@@ -48,11 +50,11 @@ __all__ = [
     "audit_alpha_range_minimality",
     "audit_failures",
     "clopper_pearson_upper",
-    "quota_build",
     "perfbench_workloads",
 ]
 
 PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+GATE_QUERIES = 400  # queries of the stream each build of the gate is asked
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,6 @@ class FailureReport:
     failed_builds_upper: float
     min_slack: list[int]
     median_slack: list[float]
-    passed: bool
 
 
 def clopper_pearson_upper(failures: int, trials: int) -> float:
@@ -200,28 +201,19 @@ def clopper_pearson_upper(failures: int, trials: int) -> float:
     return float(beta_distribution.ppf(0.95, failures + 1, trials - failures))
 
 
-def quota_build(config: engine.EngineConfig, rids: list[int], keys: np.ndarray,
-                seed: int) -> tuple[np.ndarray, list]:
-    """The partition map and the key column's sanitizers that
-    ``setup(seed=seed)`` makes for these records, built with no ORAM, no
-    storage and no sealing."""
-    oram_of = engine._partition(seed, rids, config.m)
-    return oram_of, engine._sanitizers(config, keys, oram_of, seed, "key", config.epsilon)
-
-
 def audit_failures(shape, builds: int, queries: int, rule=engine.quotas) -> FailureReport:
     """Run ``rule(config, sanitizers, a, b)`` over builds ``1..builds`` of
     ``shape``, a ``perfbench/run.py`` workload: its dataset and the first
-    ``queries`` queries of its stream, both of seed 1, with the
-    benchmark's privacy settings. Build ``s`` is ``setup(seed=s)``'s."""
+    ``queries`` queries of its stream, both of seed 1 and made by the
+    benchmark's own ``make_inputs``, with the benchmark's privacy
+    settings. Build ``s`` has ``setup(seed=s)``'s partition map and key
+    sanitizers, made with no ORAM, no storage and no sealing."""
     if builds < 1 or queries < 1:
         raise ParameterError("an audit needs at least one build and one query")
-    config = engine.EngineConfig(domain=shape.domain, record_size=1, m=shape.m,
-                                 mode=shape.mode)
-    # keys are drawn apart from payloads, so a 1-byte record has the same keys
-    db = generate_dataset(shape.n, shape.domain, 1, seed=1)
-    kind = "point" if shape.span == 1 else "range"
-    stream = generate_queries(shape.domain, shape.span / shape.domain, queries, 1, kind)
+    config = engine.EngineConfig(domain=shape.domain, record_size=shape.record_size,
+                                 m=shape.m, mode=shape.mode)
+    db, qs = _perfbench()["make_inputs"](shape, 1)
+    stream = list(itertools.islice(qs, queries))
     rids = [r.rid for r in db.records]
     keys = np.array([r.key for r in db.records], dtype=np.int64)
     index = create_index(keys)
@@ -231,7 +223,8 @@ def audit_failures(shape, builds: int, queries: int, rule=engine.quotas) -> Fail
 
     slack = np.empty((builds, queries, config.m), dtype=np.int64)
     for s in range(1, builds + 1):
-        oram_of, group = quota_build(config, rids, keys, s)
+        oram_of = engine._partition(s, rids, config.m)
+        group = engine._sanitizers(config, keys, oram_of, s, "key", config.epsilon)
         true = np.bincount(which * config.m + oram_of[positions] - 1,
                            minlength=queries * config.m).reshape(queries, config.m)
         slack[s - 1] = [rule(config, group, q.a, q.b) for q in stream]
@@ -246,13 +239,18 @@ def audit_failures(shape, builds: int, queries: int, rule=engine.quotas) -> Fail
         failed_builds=failed_builds,
         failed_builds_upper=clopper_pearson_upper(failed_builds, builds),
         min_slack=per_oram.min(axis=0).tolist(),
-        median_slack=np.median(per_oram, axis=0).tolist(),
-        passed=failed_queries == 0)
+        median_slack=np.median(per_oram, axis=0).tolist())
+
+
+@functools.cache
+def _perfbench() -> dict:
+    """The namespace of ``perfbench/run.py``, loaded once."""
+    return runpy.run_path(str(PERFBENCH_RUN))
 
 
 def perfbench_workloads() -> dict:
     """The benchmark's workloads by name, as ``perfbench/run.py`` defines them."""
-    return runpy.run_path(str(PERFBENCH_RUN))["WORKLOADS"]
+    return _perfbench()["WORKLOADS"]
 
 
 def main(argv=None) -> int:
@@ -262,12 +260,10 @@ def main(argv=None) -> int:
     failures = commands.add_parser("failures", help="a quota rule's failures at a workload")
     failures.add_argument("--workload", required=True, choices=sorted(workloads))
     failures.add_argument("--builds", type=int, required=True)
-    failures.add_argument("--queries", type=int, default=400,
-                          help="queries of the stream each build is asked")
     args = p.parse_args(argv)
-    report = audit_failures(workloads[args.workload], args.builds, args.queries)
+    report = audit_failures(workloads[args.workload], args.builds, GATE_QUERIES)
     print(json.dumps({"workload": args.workload, **asdict(report)}))
-    return 0 if report.passed else 1
+    return 0 if report.failed_queries == 0 else 1
 
 
 if __name__ == "__main__":
