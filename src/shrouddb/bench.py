@@ -21,10 +21,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from shrouddb import slots
 from shrouddb.crypto import keygen
-from shrouddb.data import (RECORD_HEADER, Database, Query, Record, pack_record,
-                           point_query, range_query, record_key, unpack_record)
+from shrouddb.data import (RECORD_HEADER, Database, Query, Record, pack_records,
+                           point_query, range_query, unpack_record)
 from shrouddb.engine import EngineConfig, QueryResult, query, setup
 from shrouddb.errors import DataError, ParameterError, QueryError
 from shrouddb.rng import derive_stream
@@ -306,8 +308,8 @@ class _Scan:
 
     def __init__(self, spec: ExperimentSpec, db: Database, data_dir):
         n, size = self._n, self._size = len(db), RECORD_HEADER + spec.record_size
-        self._cipher = slots.cipher(keygen(128, derive_stream(spec.seed, "scan")))
-        sealed = slots.seal_slots(self._cipher, b"".join(map(pack_record, db.records)),
+        self._cipher = slots.cipher(keygen(derive_stream(spec.seed, "scan")))
+        sealed = slots.seal_slots(self._cipher, pack_records(db.records, spec.record_size).ravel(),
                                   slots.fresh_nonces(n), n, size)
         self.server_bytes = sum(map(len, sealed))
         self._keys = [bucket_key(i) for i in range(n)]
@@ -321,11 +323,11 @@ class _Scan:
     def query(self, q: Query) -> QueryResult:
         n, size = self._n, self._size
         before = self.store.counters.snapshot()
-        opened = slots.open_slots(self._cipher, self.store.batch_get(self._keys), n,
-                                  size).tobytes()  # the records own their payloads
-        hits = sorted((unpack_record(opened[j * size:(j + 1) * size]) for j in range(n)
-                       if q.a <= record_key(opened[j * size:j * size + RECORD_HEADER]) <= q.b),
-                      key=lambda r: r.rid)
+        opened = slots.open_slots(self._cipher, self.store.batch_get(self._keys), n, size)
+        rows = np.frombuffer(opened, np.uint8).reshape(n, size)
+        keys = rows[:, 8:RECORD_HEADER].view(">u8")[:, 0]  # the key column
+        hits = sorted((unpack_record(row.tobytes())  # the records own their payloads
+                       for row in rows[(q.a <= keys) & (keys <= q.b)]), key=lambda r: r.rid)
         after = self.store.counters
         return QueryResult(
             records=hits, true_count=len(hits), fetched_count=n,

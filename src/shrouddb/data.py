@@ -5,10 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from shrouddb.errors import DataError, ParameterError
 
-__all__ = ["Record", "Database", "Query", "RECORD_HEADER", "pack_record", "unpack_record",
-           "record_key", "is_bytes_like"]
+__all__ = ["Record", "Database", "Query", "RECORD_HEADER", "check_payloads", "pack_records",
+           "unpack_record", "is_bytes_like"]
 
 RECORD_HEADER = 16  # rid (8) and key (8) before the payload
 
@@ -92,16 +94,27 @@ def range_query(a: int, b: int, attribute: str = "key") -> Query:
     return Query(a, b, attribute)
 
 
-def pack_record(r: Record) -> bytes:
-    """``r`` in its stored layout, ``rid(8) || key(8) || payload``."""
-    return r.rid.to_bytes(8, "big") + r.key.to_bytes(8, "big") + r.payload
+def check_payloads(records: list[Record], size: int) -> None:
+    """Refuse, naming the record, a payload that is not ``size`` bytes."""
+    for r in records:
+        if len(r.payload) != size:
+            raise DataError(f"record {r.rid} payload is {len(r.payload)} bytes, "
+                            f"expected {size}")
+
+
+def pack_records(records: list[Record], size: int) -> np.ndarray:
+    """``records`` in their stored layout, one uint8 row of
+    ``RECORD_HEADER + size`` bytes each: the rid and key columns, then
+    the payload."""
+    check_payloads(records, size)
+    # one list per column: a tuple per record would wake the cyclic collector
+    rids = np.array([r.rid for r in records], ">u8").view(np.uint8).reshape(-1, 8)
+    keys = np.array([r.key for r in records], ">u8").view(np.uint8).reshape(-1, 8)
+    payloads = np.frombuffer(b"".join(r.payload for r in records), np.uint8)
+    return np.hstack([rids, keys, payloads.reshape(-1, size)])
 
 
 def unpack_record(blob: bytes) -> Record:
     """The record whose stored layout is ``blob``."""
-    return Record(int.from_bytes(blob[:8], "big"), record_key(blob), blob[RECORD_HEADER:])
-
-
-def record_key(blob: bytes) -> int:
-    """The key of a stored record, read without building the record."""
-    return int.from_bytes(blob[8:16], "big")
+    return Record(int.from_bytes(blob[:8], "big"), int.from_bytes(blob[8:16], "big"),
+                  blob[RECORD_HEADER:])

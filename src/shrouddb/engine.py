@@ -19,9 +19,10 @@ Three volume modes:
   records and fetches its own noisy count (budgets compose by max
   since the partitions are disjoint).
 
-Setup places each partition's records in its ORAM tree on the client
-and uploads the tree once (``oram_init`` with the records as its
-initial blocks); there is no bulk load through the access protocol.
+Setup handles records in bulk: one ``partition_of`` call maps every
+record to its ORAM, and each partition, packed into one row array
+right before its load, becomes a tree built on the client (``oram_init``,
+address ``a`` holding row ``a``) and uploaded once.
 With no seed, keys and all randomness come from OS entropy; a seed
 makes the whole deployment replay exactly.
 
@@ -48,7 +49,8 @@ import numpy as np
 
 from shrouddb import bptree, sanitizer
 from shrouddb.crypto import keygen, partition_of
-from shrouddb.data import RECORD_HEADER, Database, Query, Record, pack_record, unpack_record
+from shrouddb.data import (RECORD_HEADER, Database, Query, Record, check_payloads, pack_records,
+                           unpack_record)
 from shrouddb.errors import (
     BudgetError,
     DataError,
@@ -72,8 +74,6 @@ __all__ = [
 ]
 
 MODES = ("single", "gamma", "no-gamma")
-
-AES_BITS = 128  # every deployment key is AES-128
 
 
 def compute_gamma(m: int, beta: float, k0: int) -> float:
@@ -196,22 +196,13 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     Keys and all randomness derive from ``seed``, so a seeded setup
     replays exactly; with ``seed=None`` they come from OS entropy.
 
-    Every column, the records' keys and each of ``db.attributes``, must
-    hold one integer in ``[0, domain)`` per record; otherwise nothing is
-    stored and a ``DataError`` names the column."""
+    Every payload must be ``record_size`` bytes, and every column, the
+    records' keys and each of ``db.attributes``, must hold one integer
+    in ``[0, domain)`` per record; otherwise nothing is stored and a
+    ``DataError`` names the record or the column."""
     m, n = config.m, len(db.records)
     rids, keys = [r.rid for r in db.records], [r.key for r in db.records]
-    oram_of = _partition(seed, rids, m)
-    groups: list[list[Record]] = [[] for _ in range(m)]
-    addr = []
-    for r, j in zip(db.records, oram_of.tolist()):
-        if len(r.payload) != config.record_size:
-            raise DataError(f"record {r.rid} payload is {len(r.payload)} bytes, "
-                            f"expected {config.record_size}")
-        addr.append(len(groups[j - 1]))  # a record's address is its place in its partition
-        groups[j - 1].append(r)
-    n_per = [len(g) for g in groups]
-
+    check_payloads(db.records, config.record_size)
     columns = {}
     for name, column in {**db.attributes, "key": keys}.items():  # the records' keys win
         values = np.asarray(column)
@@ -220,24 +211,27 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
                                           ((values < 0) | (values >= config.domain)).any()):
             raise DataError(f"column {name!r} must hold {n} integers in [0, {config.domain})")
         columns[name] = values.astype(np.int64)  # a copy, never the caller's column
+    oram_of = _partition(seed, rids, m)
 
     store = storage if isinstance(storage, Kvs) else connect(storage, data_dir)
     state = EngineState(
         config=config, rids=np.array(rids, dtype=np.uint64), columns=columns, orams=[],
-        oram_of=oram_of, addr=np.array(addr, dtype=np.int64),
-        n_per=n_per, indexed={},
+        oram_of=oram_of, addr=np.empty(n, np.int64), n_per=[], indexed={},
         noise_rngs=[_stream(seed, f"noise:{j}") for j in range(1, m + 1)],
         seed=seed, opened=None if store is storage else store,
     )
-    block_payload = RECORD_HEADER + config.record_size
     try:
         for j in range(1, m + 1):
-            oram_key = keygen(AES_BITS, _stream(seed, f"key:oram:{j}"))
-            oram_rng = _stream(seed, f"oram:{j}")
-            cfg = OramConfig(capacity=n_per[j - 1] + 1, block_payload=block_payload)
-            blocks = ((a, pack_record(r)) for a, r in enumerate(groups[j - 1]))
-            state.orams.append(oram_init(cfg, oram_key, CountingKvs(store),
-                                         oram_rng, namespace=j - 1, blocks=blocks))
+            where = np.flatnonzero(oram_of == j)
+            state.addr[where] = np.arange(len(where))  # a record's place in its partition
+            state.n_per.append(len(where))
+            cfg = OramConfig(capacity=len(where) + 1,
+                             block_payload=RECORD_HEADER + config.record_size)
+            rows = pack_records([db.records[i] for i in where.tolist()], config.record_size)
+            state.orams.append(oram_init(cfg, keygen(_stream(seed, f"key:oram:{j}")),
+                                         CountingKvs(store), _stream(seed, f"oram:{j}"),
+                                         namespace=j - 1, rows=rows))
+            del rows  # so one partition's rows are alive at a time
         _install_attribute(state, "key", config.epsilon)
     except BaseException:
         state.close()  # a failed setup keeps no connection, file or thread open
@@ -245,10 +239,9 @@ def setup(db: Database, config: EngineConfig, storage, seed: int | None = None,
     return state
 
 
-def _partition(seed: int | None, rids: list[int], m: int) -> np.ndarray:
+def _partition(seed: int | None, rids, m: int) -> np.ndarray:
     """Each record's ORAM (1..m) in the deployment ``seed`` sets up."""
-    hash_key = keygen(AES_BITS, _stream(seed, "key:hash"))
-    return np.array([partition_of(hash_key, rid, m) for rid in rids], dtype=np.int64)
+    return partition_of(keygen(_stream(seed, "key:hash")), rids, m)
 
 
 def _sanitizers(config: EngineConfig, values: np.ndarray, oram_of: np.ndarray,
@@ -287,8 +280,7 @@ def register_attribute(state: EngineState, attribute: str, epsilon: float) -> No
         if attribute in state.indexed:
             raise ParameterError(f"attribute {attribute!r} already registered")
         if state.config.budget is not None:
-            spent = sanitizer.compose([e for *_, e in state.indexed.values()] + [epsilon],
-                                      disjoint=False)
+            spent = spent_budget(state) + epsilon
             if spent > state.config.budget + 1e-12:
                 raise BudgetError(f"budget {state.config.budget} exceeded: "
                                   f"registering {attribute!r} needs {spent:.6f}")

@@ -21,10 +21,10 @@ re-sends the identical sealed pairs before the next access, refusing
 access until they are stored. A put is idempotent, so this is right
 whichever way the failed one went.
 
-``oram_init`` builds the starting tree on the client: it places the
-initial blocks by the same write-back over every bucket, keeps any
-that do not fit in the stash, and uploads each bucket sealed once. That
-meets the invariant above, so no access is needed to load the data.
+``oram_init`` builds the starting tree on the client from one row per
+address ``0..k-1``: it places those blocks by the same write-back over
+every bucket, keeps any that fit nowhere in the stash, and uploads each
+bucket sealed once. No access is needed to load the data.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,42 +325,40 @@ def _grown(buf: np.ndarray, size: int) -> np.ndarray:
 
 def oram_init(config: OramConfig, key: bytes, store: Kvs,
               rng: random.Random, namespace: int = 0,
-              blocks: Iterable[tuple[int, bytes]] = ()) -> OramState:
-    """Build the client and upload a tree that already holds ``blocks``.
-
-    ``blocks`` are the initial ``(address, payload)`` pairs; they are
-    checked before storage is touched. Probes the root bucket with a
-    one-key batch read, which must miss. Then places every block on the
-    path to its position (drawn with the rest of the position map) by
-    the write-back over all buckets, and writes all ``2^(L+1) - 1``
-    buckets, each sealed once under a fresh nonce, in one batch. Blocks
-    that fit nowhere stay in the stash; more than ``stash_limit`` of
-    them raise ``StashOverflowError`` after the upload, as a write-back
-    does.
+              rows: np.ndarray | None = None) -> OramState:
+    """Build the client and upload a tree whose address ``a`` holds
+    ``rows[a]``, a 2-D uint8 array of at most ``capacity`` rows (none if
+    ``None``), each one block payload wide, checked before storage is
+    touched. Probes the root bucket with a one-key batch read, which
+    must miss. Then places every block on the path to its position
+    (drawn with the rest of the position map) by the write-back over all
+    buckets, and writes all ``2^(L+1) - 1`` buckets, each sealed once
+    under a fresh nonce, in one batch. Blocks that fit nowhere stay in
+    the stash; more than ``stash_limit`` of them raise
+    ``StashOverflowError`` after the upload, as a write-back does.
     """
+    payload = config.block_payload
+    rows = np.empty((0, payload), np.uint8) if rows is None else rows
+    if not isinstance(rows, np.ndarray) or rows.dtype != np.uint8 or rows.shape[1:] != (payload,):
+        raise ParameterError(f"rows must be a 2-D uint8 array {payload} bytes wide")
+    k = len(rows)
+    if k > config.capacity:
+        raise AddressError(f"{k} rows exceed the capacity {config.capacity}")
     state = OramState(config, key, store, rng, namespace)
-    bs, every = state.body_size, list(range(state.n_buckets))
-    rows = 1 + config.capacity  # the dummy, then the blocks as given
-    state._buf = np.empty(max(rows * bs, state.n_buckets * state.bucket_bytes), np.uint8)
-    src = state._buf[:rows * bs].reshape(rows, bs)
+    bs = state.body_size
+    state._buf = np.empty(max((1 + k) * bs, state.n_buckets * state.bucket_bytes), np.uint8)
+    src = state._buf[:(1 + k) * bs].reshape(1 + k, bs)  # the dummy, then the rows
     src[0] = state._stash_rows[0]
-    table: dict[int, int] = {}
-    mv = memoryview(state._buf)
-    for row, (addr, data) in enumerate(blocks, 1):
-        state._check_block(addr, data)
-        if addr in table:
-            raise ParameterError(f"address {addr} given twice")
-        table[addr] = row
-        mv[row * bs + ADDR_SIZE:(row + 1) * bs] = _flat(data)
-    addrs = np.array(list(table), ">u8").view(np.uint8)
-    src[1:1 + len(table), :ADDR_SIZE] = addrs.reshape(-1, ADDR_SIZE)
+    src[1:, :ADDR_SIZE] = np.arange(k, dtype=">u8").view(np.uint8).reshape(k, ADDR_SIZE)
+    src[1:, ADDR_SIZE:] = rows
     try:
         store.batch_get(state._bucket_keys[:1])
     except BatchError:
         pass
     else:
         raise StorageNotEmptyError("storage already holds a bucket tree; clear it first")
-    pending = state._write_back(every, src, table)
+    table = dict(zip(range(k), range(1, k + 1)))  # address a is row 1 + a of src
+    pending = state._write_back(list(range(state.n_buckets)), src, table)
     # these buffers hold the whole tree; a batch sizes its own
     state._stash_rows = state._stash_rows.copy()
     state._plain = _EMPTY

@@ -29,8 +29,8 @@ _TAG = 16
 
 
 def cipher(key: bytes) -> AESGCM:
-    """An AES-GCM context for a 128- or 256-bit ``key``."""
-    if len(key) not in (16, 32):
+    """An AES-GCM context for a 16-byte ``key``."""
+    if len(key) != 16:
         raise ParameterError(f"bad AES key length {len(key)}")
     return AESGCM(key)
 

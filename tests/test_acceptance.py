@@ -72,7 +72,7 @@ def report(request):
 
 def _deploy_oram(capacity, payload, seed, store=None):
     cfg = OramConfig(capacity=capacity, block_payload=payload)
-    return oram_init(cfg, keygen(128, derive_stream(seed, "key")),
+    return oram_init(cfg, keygen(derive_stream(seed, "key")),
                      store if store is not None else MemoryKvs(),
                      derive_stream(seed, "rng"))
 

@@ -1,3 +1,4 @@
+import array
 import gc
 import math
 import random
@@ -15,10 +16,11 @@ from scipy import stats
 from shrouddb import slots
 from shrouddb.bptree import lookup
 from shrouddb.crypto import keygen, partition_of
-from shrouddb.data import Database, Query, Record, point_query, range_query
+from shrouddb.data import (Database, Query, Record, pack_records, point_query, range_query,
+                           unpack_record)
 from shrouddb.engine import (
-    AES_BITS,
     EngineConfig,
+    _partition,
     _noise_addresses,
     compute_gamma,
     query,
@@ -127,17 +129,50 @@ def test_records_and_queries_refuse_other_types(build, error, message):
         build()
 
 
+def test_pack_records_is_the_stored_layout():
+    """One uint8 row per record, ``rid(8) || key(8) || payload`` big-endian,
+    as a record is laid out on its own; ``unpack_record`` reads it back."""
+    records = [Record((1 << 64) - 1, 7, b"abcd"), Record(0, 0, bytearray(b"efgh")),
+               Record(1 << 40, 99, memoryview(array.array("b", b"ijkl")))]
+    rows = pack_records(records, 4)
+    assert rows.dtype == np.uint8 and rows.shape == (3, 20)
+    for r, row in zip(records, rows):
+        header = r.rid.to_bytes(8, "big") + r.key.to_bytes(8, "big")
+        assert row.tobytes() == header + bytes(r.payload)
+        assert unpack_record(row.tobytes()) == Record(r.rid, r.key, bytes(r.payload))
+    assert pack_records([], 4).shape == (0, 20)
+    with pytest.raises(DataError, match="record 0 payload is 4 bytes, expected 5"):
+        pack_records(records[1:], 5)
+
+
 def test_malformed_record_fails_before_anything_is_stored():
     """A float key is refused when its record is built. Here it is a
     record of ORAM 2, which would otherwise be found only after ORAM 1's
     whole tree was uploaded, leaving a store no second setup can use."""
     db = small_db(n=500)
-    hash_key = keygen(AES_BITS, derive_stream(5, "key:hash"))  # as setup draws it
-    rid = next(r.rid for r in db.records if partition_of(hash_key, r.rid, 2) == 2)
+    oram_of = _partition(5, [r.rid for r in db.records], 2)  # as setup draws it
+    rid = db.records[int(np.flatnonzero(oram_of == 2)[0])].rid
     kvs = RecordingKvs()
     with pytest.raises(DataError, match=f"record {rid} key 2.0"):
         records = [Record(r.rid, 2.0, r.payload) if r.rid == rid else r
                    for r in db.records]
+        setup(Database(records), config(m=2), kvs, seed=5)
+    assert kvs.take() == {}
+    setup(db, config(m=2), kvs, seed=5).close()  # the store is still empty
+
+
+def test_wrong_size_payload_fails_before_anything_is_stored():
+    """Setup packs each partition right before its load, yet a short
+    payload in ORAM 2's partition is refused before ORAM 1's tree is
+    uploaded, naming its record."""
+    db = small_db(n=500)
+    oram_of = _partition(5, [r.rid for r in db.records], 2)  # as setup draws it
+    at = int(np.flatnonzero(oram_of == 2)[-1])
+    rid = db.records[at].rid
+    records = list(db.records)
+    records[at] = Record(rid, records[at].key, bytes(23))
+    kvs = RecordingKvs()
+    with pytest.raises(DataError, match=f"record {rid} payload is 23 bytes, expected 24"):
         setup(Database(records), config(m=2), kvs, seed=5)
     assert kvs.take() == {}
     setup(db, config(m=2), kvs, seed=5).close()  # the store is still empty
@@ -829,11 +864,11 @@ def test_index_agrees_with_partition():
     try:
         pos = lookup(state.indexed["key"][0], range_query(0, state.config.domain - 1))
         assert sorted(pos.tolist()) == list(range(len(db)))
-        hash_key = keygen(AES_BITS, derive_stream(2, "key:hash"))  # as setup draws it
+        hash_key = keygen(derive_stream(2, "key:hash"))  # as setup draws it
+        assert np.array_equal(state.oram_of, partition_of(hash_key, state.rids, 3))
         placed = [0, 0, 0]  # records seen so far per ORAM
-        for i, r in enumerate(db.records):
+        for i in range(len(db)):
             j = int(state.oram_of[i])
-            assert j == partition_of(hash_key, r.rid, 3)
             assert state.addr[i] == placed[j - 1]  # its place within its partition
             placed[j - 1] += 1
         assert placed == state.n_per
@@ -875,7 +910,7 @@ def _reachable(root, found) -> int:
 def test_closed_state_holds_no_key_material():
     """``close`` drops the ORAMs with their AES-GCM contexts, and setup
     keeps no key bytes: nothing reachable from a closed state is a key."""
-    keys = {keygen(AES_BITS, derive_stream(4, label))
+    keys = {keygen(derive_stream(4, label))
             for label in ("key:hash", "key:oram:1", "key:oram:2")}
 
     def is_key(obj) -> bool:

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from conftest import FullDisk, tree_blocks
 from hypothesis import given, settings, strategies as st
@@ -34,11 +35,16 @@ from shrouddb.slots import open_slots
 from shrouddb.storage import KEY_SIZE, CountingKvs, DiskKvs, MemoryKvs, RemoteKvs, bucket_key
 
 
-def make(capacity=32, payload=16, seed=7, store=None, blocks=()):
+def make(capacity=32, payload=16, seed=7, store=None, rows=None):
     rng = random.Random(seed)
-    key = keygen(128, rng)
+    key = keygen(rng)
     return oram_init(OramConfig(capacity=capacity, block_payload=payload),
-                     key, store if store is not None else MemoryKvs(), rng, blocks=blocks)
+                     key, store if store is not None else MemoryKvs(), rng, rows=rows)
+
+
+def rows_of(values: list[bytes]) -> np.ndarray:
+    """The load that puts ``values[a]`` at address ``a``."""
+    return np.frombuffer(b"".join(values), np.uint8).reshape(len(values), -1)
 
 
 # -- geometry ---------------------------------------------------------------
@@ -62,24 +68,25 @@ def test_init_writes_full_dummy_tree():
     assert kvs.counters.roundtrips == 2  # one-key emptiness probe + one batch upload
     assert kvs.counters.bytes_up == 8 + 7 * (8 + st.bucket_bytes)
     assert tree_blocks(st) == {}  # 35 slots, all dummies
+    st = make(capacity=20, payload=24, rows=np.empty((0, 24), np.uint8))
+    assert tree_blocks(st) == {} and st.stash == {}  # an empty load is the same tree
 
 
 def test_init_places_blocks_on_their_paths():
     payload = 12
     r = random.Random(11)
-    blocks = [(a, r.randbytes(payload)) for a in r.sample(range(400), 300)]
-    st = make(capacity=400, payload=payload, blocks=blocks)
+    values = [r.randbytes(payload) for _ in range(300)]
+    st = make(capacity=400, payload=payload, rows=rows_of(values))
     tree = tree_blocks(st)
     assert not set(tree) & set(st.stash)
-    assert sorted(list(tree) + list(st.stash)) == sorted(a for a, _ in blocks)
+    assert sorted(list(tree) + list(st.stash)) == list(range(300))  # row a is address a
     for addr, bid in tree.items():
         d = (bid + 1).bit_length() - 1
         assert st.pos[addr] >> (st.L - d) == bid - ((1 << d) - 1)
     assert len(st.stash) <= st.stash_limit
-    for addr, data in blocks:
+    for addr, data in enumerate(values):
         assert st.access(read_op(addr)) == data
-    assert st.access(read_op(next(a for a in range(400) if a not in dict(blocks)))) \
-        == bytes(payload)
+    assert st.access(read_op(350)) == bytes(payload)  # beyond the rows: never written
 
 
 def test_init_overflow_refuses_later_access(monkeypatch):
@@ -100,8 +107,8 @@ def test_init_overflow_refuses_later_access(monkeypatch):
     # every block on leaf 0, whose path of L + 1 = 6 buckets holds 30 of
     # the 100; the other 70 exceed the stash limit of 49
     with pytest.raises(StashOverflowError):
-        oram_init(cfg, keygen(128, random.Random(1)), kvs, LeafZero(),
-                  blocks=[(a, bytes(4)) for a in range(100)])
+        oram_init(cfg, keygen(random.Random(1)), kvs, LeafZero(),
+                  rows=np.zeros((100, 4), np.uint8))
     (st,) = made
     assert (st.L + 1) * Z == 30 and st.stash_limit == 49
     assert st.overflowed and len(st.stash) == 70
@@ -112,16 +119,16 @@ def test_init_overflow_refuses_later_access(monkeypatch):
 
 
 @pytest.mark.parametrize("blocks, error", [
-    ([(0, b"abcd"), (16, b"abcd")], AddressError),
-    ([(-1, b"abcd")], AddressError),
-    ([(0, b"abcd"), (1, b"abc")], ParameterError),
-    ([(3, b"abcd"), (5, b"abcd"), (3, b"efgh")], ParameterError),
-    ([(0, b"abcd"), (1, "abcd")], ParameterError),
+    (np.zeros((17, 4), np.uint8), AddressError),     # one row more than the capacity
+    (np.zeros((1000, 4), np.uint8), AddressError),
+    (np.zeros((16, 3), np.uint8), ParameterError),   # rows one byte short
+    (np.zeros((16, 4), np.int8), ParameterError),    # not uint8
+    (np.zeros(64, np.uint8), ParameterError),        # not 2-D
 ])
 def test_init_validates_blocks_before_storage(blocks, error):
     kvs = CountingKvs(MemoryKvs())
     with pytest.raises(error):
-        make(capacity=16, payload=4, store=kvs, blocks=blocks)
+        make(capacity=16, payload=4, store=kvs, rows=blocks)
     assert kvs.counters.roundtrips == 0
 
 
@@ -134,9 +141,9 @@ def test_init_refuses_nonempty_storage():
 
 def test_namespaces_share_one_store():
     kvs = MemoryKvs()
-    a = oram_init(OramConfig(capacity=8, block_payload=4), keygen(128, random.Random(1)),
+    a = oram_init(OramConfig(capacity=8, block_payload=4), keygen(random.Random(1)),
                   kvs, random.Random(1), namespace=0)
-    b = oram_init(OramConfig(capacity=8, block_payload=4), keygen(128, random.Random(2)),
+    b = oram_init(OramConfig(capacity=8, block_payload=4), keygen(random.Random(2)),
                   kvs, random.Random(2), namespace=1)
     a.access(write_op(1, b"AAAA"))
     b.access(write_op(1, b"BBBB"))
@@ -144,7 +151,7 @@ def test_namespaces_share_one_store():
     assert b.access(read_op(1)) == b"BBBB"
     assert kvs.batch_get([bucket_key(0, 1)])[0] != kvs.batch_get([bucket_key(0)])[0]
     with pytest.raises(StorageNotEmptyError):
-        oram_init(OramConfig(capacity=8, block_payload=4), keygen(128, random.Random(3)),
+        oram_init(OramConfig(capacity=8, block_payload=4), keygen(random.Random(3)),
                   kvs, random.Random(3), namespace=1)
 
 
@@ -225,7 +232,7 @@ def test_payload_that_is_not_bytes_is_refused_before_any_change():
     position or touches storage, so every block still reads back."""
     kvs = CountingKvs(MemoryKvs())
     values = {a: a.to_bytes(4, "big") for a in range(64)}
-    st = make(capacity=64, payload=4, store=kvs, blocks=values.items())
+    st = make(capacity=64, payload=4, store=kvs, rows=rows_of(list(values.values())))
     before = kvs.counters.snapshot()
     with pytest.raises(ParameterError, match="not bytes"):
         st.batch_access([read_op(5), write_op(6, "abcd")])
@@ -238,7 +245,8 @@ def test_payload_that_is_not_bytes_is_refused_before_any_change():
                          ids=["bytearray", "memoryview", "signed-bytes"])
 def test_bytes_like_blocks_read_back(block):
     """A block is bytes-like by the rule every store applies to its values."""
-    st = make(capacity=8, payload=4, blocks=[(0, block)])
+    st = make(capacity=8, payload=4)
+    st.batch_access([write_op(0, block)])
     st.batch_access([write_op(1, block)])
     assert st.batch_access([read_op(0), read_op(1)]) == [b"abcd", b"abcd"]
 
@@ -280,7 +288,7 @@ def test_batched_equals_sequential():
     def run(batched: bool):
         r = random.Random(5)
         st = oram_init(OramConfig(capacity=32, block_payload=8),
-                       keygen(128, random.Random(1)), MemoryKvs(), r)
+                       keygen(random.Random(1)), MemoryKvs(), r)
         q = random.Random(123)
         outs = []
         for _ in range(60):
@@ -413,7 +421,7 @@ def test_write_back_failure_is_resent(fault, tmp_path):
     else:
         kvs = FlakyPuts(applies=fault == "apply-then-fail")
     values = {a: a.to_bytes(8, "big") for a in range(n)}
-    st = make(capacity=n, payload=8, store=kvs, blocks=values.items())
+    st = make(capacity=n, payload=8, store=kvs, rows=rows_of(list(values.values())))
     r = random.Random(5)
     for _ in range(30):
         kvs.faults = 1
@@ -437,7 +445,7 @@ def test_lost_write_back_reply_is_resent_over_a_new_connection(server, monkeypat
     kvs = RemoteKvs(*server)
     n = 300
     values = {a: a.to_bytes(8, "big") for a in range(n)}
-    st = make(capacity=n, payload=8, store=kvs, blocks=values.items())
+    st = make(capacity=n, payload=8, store=kvs, rows=rows_of(list(values.values())))
     real = wire.read_response
     lost = []
 
@@ -539,8 +547,8 @@ def test_eviction_is_greedy_from_the_leaves_up(capacity, seed, crowd, sizes):
     only, so that buckets fill up."""
     r = random.Random(seed)
     kvs = LastPutKvs()
-    st = oram_init(OramConfig(capacity=capacity, block_payload=4), keygen(128, r), kvs, r,
-                   blocks=[(a, bytes(4)) for a in range(0, capacity, 2)])
+    st = oram_init(OramConfig(capacity=capacity, block_payload=4), keygen(r), kvs, r,
+                   rows=np.zeros(((capacity + 1) // 2, 4), np.uint8))
     if crowd:
         st._draw_leaf = lambda: r.randrange(min(crowd, st.leaves))
     for size in sizes:
@@ -565,7 +573,7 @@ def test_dummy_addr_is_reserved():
 def test_capacity_round_trips_property(capacity, seed):
     r = random.Random(seed)
     st = oram_init(OramConfig(capacity=capacity, block_payload=8),
-                   keygen(128, r), MemoryKvs(), r)
+                   keygen(r), MemoryKvs(), r)
     addr = r.randrange(capacity)
     data = r.randbytes(8)
     st.access(write_op(addr, data))
