@@ -107,8 +107,8 @@ class EngineConfig:
             raise ParameterError(f"partition count must be in [1, {META_NAMESPACE}]")
         if self.mode == "single" and self.m != 1:
             raise ParameterError("single mode uses exactly one ORAM")
-        if self.domain < 1:
-            raise ParameterError("domain size must be >= 1")
+        if self.domain < 2:  # the range sanitizer's tree needs one level
+            raise ParameterError("domain size must be >= 2")
         if self.record_size < 1:
             raise ParameterError("record size must be >= 1")
         sanitizer.check_privacy(self.epsilon, self.beta)
@@ -178,8 +178,8 @@ class EngineState:
         return sum(st.n_buckets * st.bucket_bytes for st in self.orams)
 
     def sanitizer_bytes(self) -> int:
-        """The sanitizers' size on the client, 8 bytes per counter."""
-        return sum(8 * len(ds.counts) for _, group, _ in self.indexed.values() for ds in group)
+        """The sanitizers' size on the client: their float64 counters."""
+        return sum(ds.counts.nbytes for _, group, _ in self.indexed.values() for ds in group)
 
 
 def _stream(seed: int | None, label: str) -> random.Random:
@@ -246,11 +246,9 @@ def _partition(seed: int | None, rids, m: int) -> np.ndarray:
 
 def _sanitizers(config: EngineConfig, values: np.ndarray, oram_of: np.ndarray,
                 seed: int | None, attribute: str, epsilon: float) -> list:
-    """One column's sanitizers over the domain padded to a power of the
-    fanout: one shared, or in ``no-gamma`` mode one per ORAM."""
-    k = N = config.fanout
-    while N < config.domain:
-        N *= k
+    """One column's sanitizers over ``[0, domain)``: one shared, or in
+    ``no-gamma`` mode one per ORAM."""
+    N, k = config.domain, config.fanout
     if config.mode == "no-gamma":
         return [sanitizer.build_range_sanitizer(
                     values[oram_of == j], N, k, epsilon, config.beta,

@@ -1,17 +1,23 @@
 """Differentially private count sanitizers.
 
-Two structures, both Laplace-perturbed histograms with a positive bias
-so that noisy counts almost never undershoot the truth:
+Two structures, both Laplace-perturbed histograms whose answers carry
+a positive bias so that they almost never undershoot the truth:
 
 * a flat histogram for point queries, one bin per domain value, and
-* a k-ary aggregate tree for range queries, one counter per node, a
-  range answered by summing the canonical aligned cover of the range.
+* a k-ary aggregate tree for range queries over ``[0, N)``, one counter
+  per node lying wholly inside the domain, a range answered by summing
+  the canonical aligned cover of the range.
 
-The bias ``alpha`` is chosen so that with probability at least
-``1 - beta`` every counter's noise exceeds ``-alpha``, making every
-answer an overcount; overcounts cost extra fetches but never hide
-records. Counters are rounded half away from zero and clamped at zero;
-clamps are counted because each one marks a (rare) undershoot.
+Counters hold unbiased noisy counts as floats: never rounded, never
+clamped. The bias is added once per answer. A point answer adds
+``alpha``, chosen so that with probability at least ``1 - beta`` every
+bin's noise exceeds ``-alpha``. A range answer covered by ``c`` nodes
+adds ``t(c)``: ``t(1)`` is the node bias at ``beta / 2``, and a larger
+cover's ``t(c)`` bounds the sum of its ``c`` noises by a Chernoff bound
+at ``beta / 2`` spread over all ``N (N + 1) / 2`` ranges, so every
+range overcounts at once with probability at least ``1 - beta``.
+Overcounts cost extra fetches but never hide records. An answer is the
+ceiling of the biased sum, and never below zero.
 """
 
 from __future__ import annotations
@@ -61,11 +67,12 @@ def check_privacy(epsilon: float | None = None, beta: float | None = None) -> No
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
 
 
-def _bias(epsilon: float, beta: float, draws: int, h: int) -> int:
+def _bias(epsilon: float, beta: float, draws: int, h: int, split: int = 1) -> int:
     """Smallest integer ``alpha`` such that ``draws`` independent
-    Laplace(h / epsilon) noises all exceed ``-alpha`` w.p. ``1 - beta``."""
+    Laplace(h / epsilon) noises all exceed ``-alpha`` w.p.
+    ``1 - beta / split``."""
     check_privacy(epsilon, beta)
-    arg = 2.0 - 2.0 * (1.0 - beta) ** (1.0 / draws)
+    arg = 2.0 - 2.0 * (1.0 - beta / split) ** (1.0 / draws)
     if arg == 0.0:
         raise ParameterError(f"beta {beta} is too small to resolve over {draws} counters")
     bias = -math.log(arg) * h / epsilon
@@ -82,6 +89,7 @@ def alpha_point(epsilon: float, beta: float, N: int) -> int:
 
 
 def _tree_height(N: int, k: int) -> int:
+    """Least ``h`` with ``k ** h >= N``."""
     if k < 2:
         raise ParameterError("fanout k must be >= 2")
     if N < 1:
@@ -90,23 +98,66 @@ def _tree_height(N: int, k: int) -> int:
     while v < N:
         v *= k
         h += 1
-    if v != N:
-        raise ParameterError(f"domain size {N} is not a power of fanout {k}")
     return h
 
 
-def tree_nodes_count(N: int, k: int) -> int:
-    """Total counters in a k-ary aggregate tree over domain ``[0, N)``."""
+def _level_sizes(N: int, k: int) -> list[int]:
+    """Nodes per level of the tree over ``[0, N)``, root level first:
+    level ``l`` of ``h`` holds the ``N // k ** (h - l)`` nodes whose leaf
+    intervals lie wholly inside the domain."""
     h = _tree_height(N, k)
-    return (k ** h - 1) // (k - 1) + N
+    return [N // k ** (h - level) for level in range(h + 1)]
 
 
-def alpha_range(epsilon: float, beta: float, N: int, k: int) -> int:
-    """Per-node bias for the aggregate tree; noise scale grows with height."""
+def tree_nodes_count(N: int, k: int) -> int:
+    """Counters of a k-ary aggregate tree over domain ``[0, N)``."""
+    return sum(_level_sizes(N, k))
+
+
+def alpha_range(epsilon: float, beta: float, N: int, k: int, *, split: int = 1) -> int:
+    """Per-node bias for the aggregate tree at failure probability
+    ``beta / split``; noise scale grows with height."""
     h = _tree_height(N, k)
     if h < 1:
-        raise ParameterError("tree needs at least one level: require N >= k")
-    return _bias(epsilon, beta, tree_nodes_count(N, k), h)
+        raise ParameterError("tree needs at least one level: require N >= 2")
+    return _bias(epsilon, beta, tree_nodes_count(N, k), h, split)
+
+
+def _sum_bias(c: int, scale: float, log_target: float, cap: int) -> int:
+    """Least integer ``t <= cap`` whose Chernoff bound on the chance that
+    ``c`` independent Laplace(``scale``) noises sum below ``-t`` is at
+    most ``exp(log_target)``, else ``cap``. With ``T = t / scale`` the
+    bound is ``(1 - x^2)^-c * exp(-x T)``, least at
+    ``x = (sqrt(c^2 + T^2) - c) / T``."""
+    def log_bound(t: int) -> float:
+        T = t / scale
+        x = T / (math.hypot(c, T) + c)  # the optimum, rationalized
+        return -c * math.log1p(-x * x) - x * T
+
+    if log_bound(cap) > log_target:
+        return cap
+    lo, hi = 0, cap  # the bound fails at lo (it is 1 at t = 0) and holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_bound(mid) <= log_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _range_biases(epsilon: float, beta: float, N: int, k: int) -> tuple[int, ...]:
+    """``t(c)`` for every cover size ``c`` of the tree over ``[0, N)``,
+    indexed by ``c``: ``t(1)`` is ``alpha_range`` at ``beta / 2``, and
+    ``t(c)`` the lesser of ``c * t(1)`` and the least ``t`` whose
+    Chernoff bound is at most ``beta / 2`` over the ``N (N + 1) / 2``
+    ranges. A cover takes at most ``k - 1`` nodes from each side of
+    each level below the root, and the root only alone."""
+    alpha = alpha_range(epsilon, beta, N, k, split=2)
+    h = _tree_height(N, k)
+    log_target = math.log(beta / 2) - math.log(N * (N + 1) / 2)
+    return (0, alpha) + tuple(_sum_bias(c, h / epsilon, log_target, c * alpha)
+                              for c in range(2, 2 * (k - 1) * h + 1))
 
 
 @dataclass(frozen=True)
@@ -131,54 +182,54 @@ def _uniforms(n: int, rng: random.Random) -> np.ndarray:
     return np.array(us, dtype=np.float64)
 
 
-def _noisy_counts(true: np.ndarray, alpha: int, scale: float,
-                  rng: random.Random) -> tuple[list[int], int]:
-    """``laplace_sample(c + alpha, scale, rng)`` for each count ``c`` in
-    order, rounded half away from zero and clamped at zero, as one array
-    computation; returns the counters and how many were clamped."""
+def _noisy_counts(true: np.ndarray, scale: float, rng: random.Random) -> np.ndarray:
+    """``laplace_sample(c, scale, rng)`` for each count ``c`` in order, as
+    one array computation: unbiased float64 counts, neither rounded nor
+    clamped."""
     d = _uniforms(len(true), rng) - 0.5
-    mean = true.astype(np.float64) + alpha
-    x = mean - scale * np.copysign(1.0, d) * np.log(1.0 - 2.0 * np.abs(d))
-    r = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
-    low = r < 0.0
-    return np.where(low, 0.0, r).astype(np.int64).tolist(), int(low.sum())
+    return true - scale * np.copysign(1.0, d) * np.log(1.0 - 2.0 * np.abs(d))
 
 
 class PointHistogram:
-    """Noisy per-value counts; answers point lookups only."""
+    """Unbiased noisy per-value counts; answers point lookups only, each
+    biased by ``alpha``."""
 
-    def __init__(self, params: SanitizerParams, bins: list[int], clamped: int = 0):
+    def __init__(self, params: SanitizerParams, bins: np.ndarray):
         self.params = params
         self.bins = bins
-        self.clamped = clamped
 
     def query(self, a: int, b: int) -> int:
         if a != b:
             raise QueryError("point histogram cannot answer range queries")
         if not 0 <= a < self.params.N:
             raise QueryError(f"value {a} outside domain [0, {self.params.N})")
-        return self.bins[a]
+        return max(0, math.ceil(self.bins[a] + self.params.alpha))
 
 
 class AggregateTree:
-    """Noisy k-ary interval tree; ``counts`` is the breadth-first layout,
-    root first, then each level left to right, leaves last."""
+    """Noisy k-ary interval tree over ``[0, N)``. ``counts`` holds the
+    unbiased noisy count of each node lying wholly inside the domain,
+    breadth-first: root level first, each level left to right, leaves
+    last. ``bias[c]`` is ``t(c)``, which an answer covered by ``c``
+    nodes adds; ``params.alpha`` is ``t(1)``."""
 
-    def __init__(self, params: SanitizerParams, counts: list[int], clamped: int = 0):
+    def __init__(self, params: SanitizerParams, counts: np.ndarray, bias: tuple[int, ...]):
         self.params = params
         self.counts = counts
-        self.clamped = clamped
-        self.height = _tree_height(params.N, params.k)
+        self.bias = bias
+        sizes = _level_sizes(params.N, params.k)
+        self.height = len(sizes) - 1
+        self._offsets = [sum(sizes[:level]) for level in range(len(sizes))]
 
     def node_index(self, level: int, i: int) -> int:
-        k = self.params.k
-        return (k ** level - 1) // (k - 1) + i
+        return self._offsets[level] + i
 
     def query(self, a: int, b: int) -> int:
         if not 0 <= a <= b < self.params.N:
             raise QueryError(f"range [{a}, {b}] outside domain [0, {self.params.N})")
         cover = canonical_cover(a, b, self.height, self.params.k)
-        return sum(self.counts[self.node_index(lv, i)] for lv, i in cover)
+        total = sum(self.counts[self.node_index(lv, i)] for lv, i in cover)
+        return max(0, math.ceil(total + self.bias[len(cover)]))
 
 
 def _key_counts(keys, N: int) -> np.ndarray:
@@ -193,25 +244,25 @@ def _key_counts(keys, N: int) -> np.ndarray:
 
 def build_point_sanitizer(keys: list[int], N: int, epsilon: float, beta: float,
                           rng: random.Random) -> PointHistogram:
-    """Histogram of ``keys`` over ``[0, N)`` with biased Laplace noise per bin."""
+    """Histogram of ``keys`` over ``[0, N)`` with Laplace noise per bin."""
     alpha = alpha_point(epsilon, beta, N)
-    bins, clamped = _noisy_counts(_key_counts(keys, N), alpha, 1.0 / epsilon, rng)
-    return PointHistogram(SanitizerParams(N, 0, alpha, epsilon), bins, clamped)
+    bins = _noisy_counts(_key_counts(keys, N), 1.0 / epsilon, rng)
+    return PointHistogram(SanitizerParams(N, 0, alpha, epsilon), bins)
 
 
 def build_range_sanitizer(keys: list[int], N: int, k: int, epsilon: float,
                           beta: float, rng: random.Random) -> AggregateTree:
-    """Aggregate tree over ``[0, N)``: every node holds the true count of
-    its leaf interval plus its own independent biased noise, drawn in
-    breadth-first order."""
-    alpha = alpha_range(epsilon, beta, N, k)
-    h = _tree_height(N, k)
+    """Aggregate tree over ``[0, N)``, any ``N >= 2``: every node inside the
+    domain holds the true count of its leaf interval plus its own
+    independent noise, drawn in breadth-first order."""
+    bias = _range_biases(epsilon, beta, N, k)
+    sizes = _level_sizes(N, k)
     levels = [_key_counts(keys, N)]
-    for _ in range(h):
-        levels.append(levels[-1].reshape(-1, k).sum(axis=1))
+    for size in reversed(sizes[:-1]):  # each parent sums k whole children
+        levels.append(levels[-1][:size * k].reshape(size, k).sum(axis=1))
     levels.reverse()  # root level first
-    counts, clamped = _noisy_counts(np.concatenate(levels), alpha, h / epsilon, rng)
-    return AggregateTree(SanitizerParams(N, k, alpha, epsilon), counts, clamped)
+    counts = _noisy_counts(np.concatenate(levels), (len(sizes) - 1) / epsilon, rng)
+    return AggregateTree(SanitizerParams(N, k, bias[1], epsilon), counts, bias)
 
 
 def canonical_cover(a: int, b: int, height: int, k: int) -> list[tuple[int, int]]:

@@ -179,7 +179,8 @@ class FailureReport:
     """What one quota rule did over ``builds`` builds of one workload's
     sanitizers, each asked the stream's first ``queries`` queries. The
     upper bounds are one-sided Clopper–Pearson at 95%; the slack, quota
-    minus true matches, is per ORAM over every build and query."""
+    minus true matches, and the quota's mean are per ORAM over every
+    build and query."""
 
     builds: int
     queries: int
@@ -189,6 +190,7 @@ class FailureReport:
     failed_builds_upper: float
     min_slack: list[int]
     median_slack: list[float]
+    mean_quota: list[float]
 
 
 def clopper_pearson_upper(failures: int, trials: int) -> float:
@@ -221,14 +223,15 @@ def audit_failures(shape, builds: int, queries: int, rule=engine.quotas) -> Fail
     which = np.repeat(np.arange(queries), [len(p) for p in matched])
     positions = np.concatenate(matched)
 
-    slack = np.empty((builds, queries, config.m), dtype=np.int64)
+    quota = np.empty((builds, queries, config.m), dtype=np.int64)
+    slack = np.empty_like(quota)
     for s in range(1, builds + 1):
         oram_of = engine._partition(s, rids, config.m)
         group = engine._sanitizers(config, keys, oram_of, s, "key", config.epsilon)
         true = np.bincount(which * config.m + oram_of[positions] - 1,
                            minlength=queries * config.m).reshape(queries, config.m)
-        slack[s - 1] = [rule(config, group, q.a, q.b) for q in stream]
-        slack[s - 1] -= true
+        quota[s - 1] = [rule(config, group, q.a, q.b) for q in stream]
+        slack[s - 1] = quota[s - 1] - true
     failed = (slack < 0).any(axis=2)
     failed_queries, failed_builds = int(failed.sum()), int(failed.any(axis=1).sum())
     per_oram = slack.reshape(-1, config.m)
@@ -239,7 +242,8 @@ def audit_failures(shape, builds: int, queries: int, rule=engine.quotas) -> Fail
         failed_builds=failed_builds,
         failed_builds_upper=clopper_pearson_upper(failed_builds, builds),
         min_slack=per_oram.min(axis=0).tolist(),
-        median_slack=np.median(per_oram, axis=0).tolist())
+        median_slack=np.median(per_oram, axis=0).tolist(),
+        mean_quota=quota.reshape(-1, config.m).mean(axis=0).tolist())
 
 
 @functools.cache

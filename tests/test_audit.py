@@ -151,19 +151,20 @@ def test_audit_build_is_the_setup_of_its_seed(mode, m):
             assert np.array_equal(oram_of, state.oram_of)
             built = state.indexed["key"][1]
             assert [ds.params for ds in group] == [ds.params for ds in built]
-            assert [ds.counts for ds in group] == [ds.counts for ds in built]
+            assert len(group) == len(built)
+            assert all(np.array_equal(g.counts, b.counts) for g, b in zip(group, built))
 
 
 class _Unbiased:
-    """A range sanitizer whose answers drop the node bias: the noisy
-    counts of the cover, less ``alpha`` for each of its nodes."""
+    """A range sanitizer whose answers drop the bias: the noisy sum of
+    the cover, less t(c) for its c nodes."""
 
     def __init__(self, ds):
         self.ds = ds
 
     def query(self, a, b):
         cover = canonical_cover(a, b, self.ds.height, self.ds.params.k)
-        return self.ds.query(a, b) - self.ds.params.alpha * len(cover)
+        return self.ds.query(a, b) - self.ds.bias[len(cover)]
 
 
 def unbiased_quotas(config, sanitizers, a, b):
@@ -177,11 +178,26 @@ def test_quota_rule_passes_the_gate_at_range_4k_remote():
     rep = audit_failures(shape, builds=100, queries=400)
     assert (rep.failed_queries, rep.failed_builds) == (0, 0)
     assert rep.failed_queries_upper == pytest.approx(1 - 0.05 ** (1 / 40_000))
-    assert len(rep.min_slack) == len(rep.median_slack) == shape.m
+    assert len(rep.min_slack) == len(rep.median_slack) == len(rep.mean_quota) == shape.m
     assert 0 < min(rep.min_slack) <= min(rep.median_slack)
+    # about 51 matches per query, biased by t(5) = 173, then split over two
+    # ORAMs and inflated by gamma
+    assert all(150 < q < 250 for q in rep.mean_quota)
+
+
+def test_quota_rule_passes_the_gate_at_point_64_disk():
+    """The same gate at point-64-disk's shape: one ORAM, point queries of
+    about one match, each biased by t(1) = 184."""
+    shape = perfbench_workloads()["point-64-disk"]
+    rep = audit_failures(shape, builds=5, queries=400)
+    assert (rep.failed_queries, rep.failed_builds) == (0, 0)
+    assert len(rep.min_slack) == len(rep.mean_quota) == shape.m == 1
+    assert 0 < rep.min_slack[0]
+    assert 184 < rep.mean_quota[0] < 190
 
 
 def test_gate_refuses_a_rule_without_the_node_bias():
+    """A rule that drops t(c), the bias of each range's sum, is refused."""
     shape = perfbench_workloads()["range-4k-remote"]
     rep = audit_failures(shape, builds=10, queries=400, rule=unbiased_quotas)
     assert rep.failed_queries > 0 and rep.failed_builds > 0

@@ -238,8 +238,8 @@ def test_csv_shape_and_summary_sums():
     for col in ["true_count", "fetched_count", "bytes_down", "roundtrips"]:
         assert int(summary[col]) == sum(int(r[col]) for r in rows[:-1])
     assert float(summary["storage_a1"]) > 1.0  # server holds more than raw data
-    # one shared sanitizer, 8 bytes per counter, over the domain padded to 16^2
-    assert float(summary["storage_a2"]) == 8 * tree_nodes_count(256, 16)
+    # one shared sanitizer, one float64 per counter inside the domain [0, 100)
+    assert float(summary["storage_a2"]) == 8 * tree_nodes_count(100, 16)
     assert all(r["elapsed_ms"] == "1.000" for r in rows[:-1])
 
 

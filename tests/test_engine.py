@@ -97,6 +97,9 @@ def test_config_validation():
         config(mode="single", m=2)
     with pytest.raises(ParameterError):
         config(m=0)
+    with pytest.raises(ParameterError, match="domain size must be >= 2"):
+        config(domain=1)  # the range tree over [0, 1) has no level to noise
+    assert config(domain=2, fanout=16).domain == 2
     with pytest.raises(BudgetError):
         config(epsilon=1.0, budget=0.5)
     for bad in [{"epsilon": math.nan}, {"epsilon": math.inf}, {"beta": math.nan},

@@ -37,23 +37,23 @@ ENGINE = {
 # first 16 hex digits of each SHA-256: "ns<j>" is key namespace j,
 # "tree<j>" the placement in the ORAM stored under namespace j
 GOLDEN = {
-    "gamma-3": {"ns0": "2ef97d3e17936341", "ns1": "75294ee0961c4bca", "ns2": "23d6e8fafb4c134e",
-                "tree0": "4483d3060c7229a0",
-                "tree1": "ace366d08fcae373", "tree2": "9fcb1538a3bcebb5",
-                "queries": "ebed1908a7fadecd"},
-    "single": {"ns0": "f85c7556d16b246a",
-               "tree0": "665d9ab1a63ddcf7", "queries": "0eca8260d3df382a"},
-    "no-gamma-3": {"ns0": "94d1e4e4caab9187", "ns1": "5d2cf3bb6bb9c20c", "ns2": "b60ccf553c80d84c",
-                   "tree0": "5e65364d02d96bb3",
-                   "tree1": "548c249e44c9c3c7", "tree2": "3eae74732369cd83",
-                   "queries": "4a6c913ca41e6715"},
+    "gamma-3": {"ns0": "e0b13b382259f09d", "ns1": "6944b59d4907aa6f", "ns2": "fdf77b674c7db89b",
+                "tree0": "7a630c6524225493",
+                "tree1": "c15de6197b8bd68a", "tree2": "15d29686f5e5ccb0",
+                "queries": "d59229aa0e6f9bc9"},
+    "single": {"ns0": "647a58fd823355d0",
+               "tree0": "74e25cd90dabe997", "queries": "37dfb88e2197226c"},
+    "no-gamma-3": {"ns0": "afbcf7db0f853c1a", "ns1": "2ce483c6855fc54f", "ns2": "a38d3b33e3736810",
+                   "tree0": "fdfff5fa45fa00cf",
+                   "tree1": "daf3579ee10b75d3", "tree2": "e25638de84d810fb",
+                   "queries": "133b748994f5ff90"},
 }
 
 GOLDEN_SCAN = {"ns0": "5c4dda3560bfb968", "queries": "a63ef0783857b05a"}
 
 # the single deployment over the disk log, per namespace of its records
 GOLDEN_DISK = {"ns0": "e3cffa37b84ff392",
-               "queries": "0eca8260d3df382a"}
+               "queries": "37dfb88e2197226c"}
 
 
 def _digest(h) -> str:
